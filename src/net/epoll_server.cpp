@@ -35,6 +35,10 @@ struct EpollObs {
       obs::counter("bsk_net_frames_sent_total", "frames written to the wire");
   obs::Counter& net_rx = obs::counter("bsk_net_frames_received_total",
                                       "non-heartbeat frames decoded");
+  obs::Counter& bytes_tx =
+      obs::counter("bsk_net_bytes_sent_total", "payload bytes written (TCP)");
+  obs::Counter& bytes_rx = obs::counter("bsk_net_bytes_received_total",
+                                        "payload bytes read (TCP)");
   obs::Counter& decode_errors = obs::counter(
       "bsk_net_decode_errors_total",
       "connections killed by an unrecoverable framing error");
@@ -170,6 +174,7 @@ bool EpollServer::flush_locked(Conn& conn) {
     msg.msg_iovlen = cnt;
     const ssize_t n = ::sendmsg(conn.fd, &msg, MSG_NOSIGNAL);
     if (n > 0) {
+      epoll_obs().bytes_tx.inc(static_cast<std::uint64_t>(n));
       conn.out.consume(static_cast<std::size_t>(n));
       if (static_cast<std::size_t>(n) < gathered) return true;  // short write
       continue;
@@ -303,6 +308,7 @@ void EpollServer::read_ready(const std::shared_ptr<Conn>& conn) {
   for (;;) {
     const ssize_t n = ::read(conn->raw_fd, rbuf, sizeof rbuf);
     if (n > 0) {
+      epoll_obs().bytes_rx.inc(static_cast<std::uint64_t>(n));
       conn->decoder.feed(rbuf, static_cast<std::size_t>(n));
       while (auto f = conn->decoder.next()) {
         if (f->type == FrameType::Heartbeat) continue;

@@ -149,7 +149,8 @@ std::optional<rt::Task> RemoteWorkerNode::process(rt::Task t) {
   // before insisting on a result, overlapping transfer with the peer's
   // computation. The result returned belongs to the *oldest* in-flight
   // task, not to `t`; Task::order travels with it, so ordered collection
-  // is unaffected. flush() drains the tail at end of stream.
+  // is unaffected. The farm calls flush() for the rest whenever the
+  // worker's input is empty, and at end of stream.
   const std::size_t window = opts_.credit_window == 0 ? 1 : opts_.credit_window;
   if (in_flight < window) return std::nullopt;
   conduit_obs().credit_stalls.inc();

@@ -20,14 +20,17 @@
 //     the wire before insisting on a result, so the round-trip latency is
 //     amortized across the window instead of paid per task; the result it
 //     returns then belongs to the *oldest* in-flight task (Task::order
-//     travels with it, so ordered collection is unaffected), and flush()
-//     drains the tail after end of stream. The node owns the crash-recovery
-//     copies of everything in flight (owns_recovery()): a peer crash is
-//     recovered by draining the unacknowledged deque — exactly once,
-//     because drains are destructive and the result path discards results
-//     whose task a monitor already re-offered elsewhere. failed() reports
-//     peer death — connection EOF or heartbeat silence — which
-//     Farm::fail_crashed_workers() turns into WorkerFailureBean facts.
+//     travels with it, so ordered collection is unaffected). flush()
+//     releases in-flight results one at a time: the farm calls it whenever
+//     the worker's input runs dry, so a result never waits for
+//     credit_window more arrivals, and at end of stream for the tail. The
+//     window thus fills only while input is queued. The node owns the
+//     crash-recovery copies of everything in flight (owns_recovery()): a
+//     peer crash is recovered by draining the unacknowledged deque —
+//     exactly once, because drains are destructive and the result path
+//     discards results whose task a monitor already re-offered elsewhere.
+//     failed() reports peer death — connection EOF or heartbeat silence —
+//     which Farm::fail_crashed_workers() turns into WorkerFailureBean facts.
 //
 // Ordering note: SecureReq is sent on the same ordered stream as task
 // frames, and the peer upgrades before reading anything sent after it — so

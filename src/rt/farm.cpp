@@ -545,6 +545,68 @@ void Farm::worker_loop(Worker* w) {
 
   bool poisoned = false;
   bool crashed = false;
+
+  // Exactly-once handoff of one node call's outcome — a process() return or
+  // a pipelined result released by flush() — decided under the per-worker
+  // recovery lock. Sets `crashed` when the worker or its node has failed.
+  auto handoff = [&](std::optional<Task> r) {
+    bool emit = false;
+    {
+      support::MutexLock lk(w->inflight_mu);
+      if (node_recovers) {
+        // A returned result's task was acknowledged off the node's
+        // recovery deque before any drain could have seen it, so it is
+        // valid even when the injector already marked us failed. What is
+        // still unacknowledged is drained here — destructively, so this
+        // composes with a racing monitor's own drain.
+        if (w->failed.load() || w->node->failed()) {
+          w->failed.store(true);
+          crashed = true;
+          for (Task& rt : w->node->drain_unacked())
+            to_recover.push_back(std::move(rt));
+          while (!w->pending.empty()) {
+            to_recover.push_back(std::move(w->pending.front()));
+            w->pending.pop_front();
+          }
+          w->staged.store(0, std::memory_order_relaxed);
+        }
+        emit = r.has_value();
+      } else if (w->failed.load()) {
+        emit = false;  // injector captured the copies; discard our result
+        crashed = true;
+      } else if (w->node->failed()) {
+        // Node died during process() and no monitor noticed yet: recover
+        // the in-flight copy and the staged batch ourselves, once.
+        w->failed.store(true);
+        crashed = true;
+        if (w->inflight) {
+          to_recover.push_back(std::move(*w->inflight));
+          w->inflight.reset();
+        }
+        while (!w->pending.empty()) {
+          to_recover.push_back(std::move(w->pending.front()));
+          w->pending.pop_front();
+        }
+        w->staged.store(0, std::memory_order_relaxed);
+      } else {
+        emit = true;
+        w->inflight.reset();
+      }
+    }
+    if (emit && r) stage_result(std::move(*r));
+  };
+  // Release pipelined results one at a time while `keep_going()` holds,
+  // until nothing remains in flight or the worker crashed.
+  auto drain_node = [&](auto keep_going) {
+    while (!crashed && keep_going()) {
+      std::optional<Task> r = w->node->flush();
+      const bool more = r.has_value();
+      handoff(std::move(r));
+      flush_results();
+      if (!more) break;
+    }
+  };
+
   while (!poisoned && !crashed) {
     batch.clear();
     if (w->in->pop_n(batch, kWorkerBatch) != support::ChannelStatus::Ok) break;
@@ -595,69 +657,23 @@ void Farm::worker_loop(Worker* w) {
       w->busy_s.fetch_add(dt);
       metrics_.record_service_time(dt);
 
-      // Exactly-once handoff, decided under the per-worker recovery lock.
-      bool emit = false;
-      {
-        support::MutexLock lk(w->inflight_mu);
-        if (node_recovers) {
-          // A returned result's task was acknowledged off the node's
-          // recovery deque before any drain could have seen it, so it is
-          // valid even when the injector already marked us failed. What is
-          // still unacknowledged is drained here — destructively, so this
-          // composes with a racing monitor's own drain.
-          if (w->failed.load() || w->node->failed()) {
-            w->failed.store(true);
-            crashed = true;
-            for (Task& rt : w->node->drain_unacked())
-              to_recover.push_back(std::move(rt));
-            while (!w->pending.empty()) {
-              to_recover.push_back(std::move(w->pending.front()));
-              w->pending.pop_front();
-            }
-            w->staged.store(0, std::memory_order_relaxed);
-          }
-          emit = r.has_value();
-        } else if (w->failed.load()) {
-          emit = false;  // injector captured the copies; discard our result
-          crashed = true;
-        } else if (w->node->failed()) {
-          // Node died during process() and no monitor noticed yet: recover
-          // the in-flight copy and the staged batch ourselves, once.
-          w->failed.store(true);
-          crashed = true;
-          if (w->inflight) {
-            to_recover.push_back(std::move(*w->inflight));
-            w->inflight.reset();
-          }
-          while (!w->pending.empty()) {
-            to_recover.push_back(std::move(w->pending.front()));
-            w->pending.pop_front();
-          }
-          w->staged.store(0, std::memory_order_relaxed);
-        } else {
-          emit = true;
-          w->inflight.reset();
-        }
-      }
-      if (emit && r) stage_result(std::move(*r));
+      handoff(std::move(r));
       if (crashed) break;
     }
 
     flush_results();
+
+    // A pipelining node keeps results of tasks already on the wire until
+    // its credit window fills. With no input queued, release them now
+    // rather than holding them until more input (or end of stream) comes;
+    // the window still fills whenever input is queued.
+    if (node_recovers && !poisoned)
+      drain_node([&] { return w->in->size() == 0; });
   }
 
   // Drain pipelined results still in flight at end of stream; if the peer
-  // died mid-drain, recover what it never acknowledged.
-  if (node_recovers && !crashed) {
-    while (auto r = w->node->flush()) stage_result(std::move(*r));
-    std::vector<Task> left;
-    {
-      support::MutexLock lk(w->inflight_mu);
-      left = w->node->drain_unacked();
-    }
-    for (Task& t : left)
-      if (t.is_data()) to_recover.push_back(std::move(t));
-  }
+  // died mid-drain, the handoff recovers what it never acknowledged.
+  if (node_recovers) drain_node([] { return true; });
 
   // Tasks handed to this worker that it will never run: batch entries
   // staged behind a poison, and whatever raced into the queue after it.

@@ -59,9 +59,11 @@ class Node {
   // A node may pipeline several tasks toward a backing executor (a remote
   // worker with a credit window keeps N tasks in flight on the wire). Such
   // a node returns nullopt from process() while priming its window and
-  // delivers the delayed results through flush() at end of stream. Because
-  // tasks it accepted are no longer visible to the farm, the node — not
-  // the farm's per-call in-flight copy — owns their crash-recovery copies.
+  // delivers the delayed results through flush(), which the farm calls
+  // whenever the worker's input is empty and again at end of stream.
+  // Because tasks it accepted are no longer visible to the farm, the node —
+  // not the farm's per-call in-flight copy — owns their crash-recovery
+  // copies.
 
   /// True when this node keeps its own recovery copies of accepted tasks
   /// (the farm then skips its per-call in-flight stash and recovers via
@@ -75,9 +77,10 @@ class Node {
   /// guarantee of crash recovery rests on that.
   virtual std::vector<Task> drain_unacked() { return {}; }
 
-  /// Drain one pipelined result after the input stream ended (nullopt when
-  /// none remain or the backing executor died; the remainder is then
-  /// recoverable via drain_unacked()).
+  /// Drain one pipelined result, blocking until the oldest in-flight task
+  /// answers (nullopt when none remain or the backing executor died; the
+  /// remainder is then recoverable via drain_unacked()). Called while the
+  /// worker's input is empty and after the input stream ended.
   virtual std::optional<Task> flush() { return std::nullopt; }
 
   /// Source protocol: produce the next task; std::nullopt = end of stream.

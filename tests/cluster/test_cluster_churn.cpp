@@ -15,6 +15,7 @@
 #include <set>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "cluster/node.hpp"
@@ -58,6 +59,12 @@ struct Peer {
     host->stop();
   }
   std::string key() const { return node->self_key(); }
+  /// This incarnation's `born` stamp, read from the node's own view.
+  std::uint64_t born() const {
+    for (const net::Member& m : node->view().members)
+      if (m.key() == key()) return m.born;
+    return 0;
+  }
   net::Endpoint ep() const { return {"127.0.0.1", host->port()}; }
 };
 
@@ -219,11 +226,14 @@ TEST(ClusterChurn, SixtyFourNodesSurviveInterleavedJoinsLeavesAndCrashes) {
   // the same time (the resurrection-prone window).
   const std::vector<std::size_t> crashed = {9, 21, 33};
   const std::vector<std::size_t> left = {14, 27, 40};
-  std::vector<std::string> dead_keys;
+  // A dead peer is an incarnation, (key, born): a joiner that binds the
+  // dead peer's recycled ephemeral port legitimately reuses its key under
+  // a fresh `born`.
+  std::vector<std::pair<std::string, std::uint64_t>> dead;
   for (std::size_t i = 0; i < 3; ++i) {
-    dead_keys.push_back(peers[crashed[i]]->key());
+    dead.emplace_back(peers[crashed[i]]->key(), peers[crashed[i]]->born());
     peers[crashed[i]]->crash();
-    dead_keys.push_back(peers[left[i]]->key());
+    dead.emplace_back(peers[left[i]]->key(), peers[left[i]]->born());
     peers[left[i]]->leave();
     peers.push_back(std::make_unique<Peer>(
         static_cast<std::uint32_t>(2), churn_opts({peers[0]->ep()})));
@@ -239,15 +249,16 @@ TEST(ClusterChurn, SixtyFourNodesSurviveInterleavedJoinsLeavesAndCrashes) {
 
   // No tombstone resurrection: hold for several gossip periods (slow
   // replicas of the dead records are still circulating) and re-check that
-  // no dead key reappears in any live view.
+  // no dead incarnation reappears in any live view.
   for (int pass = 0; pass < 2; ++pass) {
     std::this_thread::sleep_for(std::chrono::milliseconds(600));
     for (Peer* p : live(gone)) {
       const net::MembershipView v = p->node->view();
       for (const net::Member& m : v.members)
-        for (const std::string& dead : dead_keys)
-          EXPECT_NE(m.key(), dead)
-              << dead << " resurrected in " << p->key() << " pass " << pass;
+        for (const auto& [key, born] : dead)
+          EXPECT_FALSE(m.key() == key && m.born == born)
+              << key << " born " << born << " resurrected in " << p->key()
+              << " pass " << pass;
     }
   }
 

@@ -18,6 +18,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <memory>
 #include <string>
 #include <thread>
@@ -26,6 +27,7 @@
 #include "net/chaos.hpp"
 #include "net/epoll_server.hpp"
 #include "net/worker_pool.hpp"
+#include "obs/metrics.hpp"
 
 // Under TSan the per-connection shadow state is expensive; keep the soak
 // meaningful but smaller.
@@ -112,6 +114,51 @@ TEST(EpollServer, HandshakeThenEchoRoundTrips) {
   EXPECT_EQ(h.frames.load(), 50);
   tp->close();
   server.stop();
+}
+
+TEST(EpollServer, CountsBytesMovedInBothDirections) {
+  // bsk_net_bytes_{sent,received}_total are process-wide and shared with
+  // TcpTransport; the server's share is what the client's own per-
+  // connection stats do not account for. With no heartbeats armed, every
+  // byte one side wrote is a byte the other side read.
+  ASSERT_TRUE(obs::enabled());
+  obs::Counter& sent = obs::counter("bsk_net_bytes_sent_total");
+  obs::Counter& received = obs::counter("bsk_net_bytes_received_total");
+  const std::uint64_t sent0 = sent.value();
+  const std::uint64_t received0 = received.value();
+
+  EchoHandler h;
+  EpollServer server(h);
+  h.server = &server;
+  server.start();
+  ASSERT_TRUE(server.valid());
+  auto tp = TcpTransport::connect("127.0.0.1", server.port());
+  ASSERT_NE(tp, nullptr);
+  ASSERT_TRUE(client_handshake(*tp, Hello{}, 5.0));
+  for (int i = 0; i < 20; ++i) {
+    ASSERT_TRUE(tp->send(msg(FrameType::TaskMsg,
+                             std::vector<std::uint8_t>(100, 0x5a))));
+    Frame f;
+    ASSERT_EQ(tp->recv_for(f, 5.0), RecvStatus::Ok) << "frame " << i;
+  }
+  server.stop();  // joins the loop: its counter updates are all visible
+
+  // The client's I/O thread bumps its counters just after each syscall;
+  // give the last one a moment to land.
+  TransportStats cs;
+  std::uint64_t server_sent = 0, server_received = 0;
+  for (int spin = 0; spin < 200; ++spin) {
+    cs = tp->stats();
+    server_sent = sent.value() - sent0 - cs.bytes_sent;
+    server_received = received.value() - received0 - cs.bytes_received;
+    if (server_sent == cs.bytes_received && server_received == cs.bytes_sent)
+      break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  EXPECT_GT(cs.bytes_sent, 20u * 100u);
+  EXPECT_EQ(server_received, cs.bytes_sent);
+  EXPECT_EQ(server_sent, cs.bytes_received);
+  tp->close();
 }
 
 TEST(EpollServer, FirstFrameMustBeHello) {

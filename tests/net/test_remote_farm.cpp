@@ -9,7 +9,11 @@
 //     once;
 //   * filtered tasks (worker returns nothing) travel as WorkerDone replies
 //     without wedging the farm;
-//   * Link::secure() maps onto upgrading the remote node's wire channel.
+//   * Link::secure() maps onto upgrading the remote node's wire channel;
+//   * a lone task's result comes back while the worker's input is empty
+//     (pipelined results are not held behind the credit window), over TCP
+//     and over shared memory, and a peer crash while such a result is
+//     awaited still recovers every task exactly once.
 //
 // The bskd binary path is injected by CMake as BSK_BSKD_PATH.
 
@@ -17,7 +21,9 @@
 
 #include <signal.h>
 
+#include <chrono>
 #include <set>
+#include <thread>
 
 #include "am/builtin_rules.hpp"
 #include "bs/remote_bs.hpp"
@@ -202,6 +208,120 @@ TEST(RemoteFarm, SecureAllLinksUpgradesRemoteWireChannels) {
   farm.input()->close();
   farm.wait();
   stop_bskd(daemon, SIGKILL);
+}
+
+// Push one task, wait for its result, and only then push the next: with a
+// credit window of 4 each result must surface while the worker holds fewer
+// than 4 tasks, i.e. through the farm's idle drain.
+void ping_pong(bool shm) {
+  BskdProcess daemon = spawn_bskd(BSK_BSKD_PATH);
+  ASSERT_TRUE(daemon.valid()) << "could not spawn " << BSK_BSKD_PATH;
+
+  WorkerPoolOptions o = fast_pool_opts("echo");
+  o.allow_shm = shm;
+  WorkerPool pool({{"127.0.0.1", daemon.port}}, o);
+  rt::FarmConfig fc;
+  fc.initial_workers = 2;
+  rt::Farm farm("pingpong", fc, pool.factory());
+  farm.start();
+  if (shm) {
+    EXPECT_EQ(pool.shm_attached(), 2u);
+  } else {
+    EXPECT_EQ(pool.shm_attached(), 0u);
+  }
+
+  const support::SimDuration timeout(2.0 * support::Clock::scale());
+  std::size_t answered = 0;
+  for (int i = 0; i < 20; ++i) {
+    farm.input()->push(rt::Task::data(i, 0.0, std::int64_t{i}));
+    rt::Task r;
+    if (farm.output()->pop_for(r, timeout) != support::ChannelStatus::Ok) {
+      ADD_FAILURE() << "result of task " << i << " held back";
+      break;  // the end-of-stream flush below still delivers it
+    }
+    EXPECT_EQ(r.id, static_cast<std::uint64_t>(i));
+    EXPECT_EQ(std::any_cast<std::int64_t>(r.payload), std::int64_t{i});
+    ++answered;
+  }
+  EXPECT_EQ(answered, 20u);
+
+  farm.input()->close();
+  farm.wait();
+  rt::Task rest;
+  while (farm.output()->pop(rest) == support::ChannelStatus::Ok) {
+  }
+  EXPECT_EQ(farm.failures(), 0u);
+  stop_bskd(daemon, SIGKILL);
+}
+
+TEST(RemoteFarm, PingPongResultsAreNotHeldBehindCreditWindowTcp) {
+  ping_pong(/*shm=*/false);
+}
+
+TEST(RemoteFarm, PingPongResultsAreNotHeldBehindCreditWindowShm) {
+  ping_pong(/*shm=*/true);
+}
+
+TEST(RemoteFarm, CrashWhileDrainingIdleWorkerRecoversExactlyOnce) {
+  // One worker per daemon (the pool recruits round-robin); the survivor
+  // takes over what the doomed daemon never answered.
+  BskdProcess doomed = spawn_bskd(BSK_BSKD_PATH);
+  BskdProcess survivor = spawn_bskd(BSK_BSKD_PATH);
+  ASSERT_TRUE(doomed.valid() && survivor.valid());
+
+  WorkerPool pool({{"127.0.0.1", doomed.port}, {"127.0.0.1", survivor.port}},
+                  fast_pool_opts("sim"));
+  rt::FarmConfig fc;
+  fc.initial_workers = 2;
+  rt::Farm farm("drainfarm", fc, pool.factory());
+  farm.start();
+  pool.start_watch(farm, 0.05);
+
+  std::multiset<std::uint64_t> ids;
+  const support::SimDuration timeout(5.0 * support::Clock::scale());
+  // Short tasks answered one at a time: both workers reach the idle drain.
+  for (int i = 0; i < 4; ++i) {
+    farm.input()->push(rt::Task::data(i, 0.0));
+    rt::Task r;
+    if (farm.output()->pop_for(r, timeout) != support::ChannelStatus::Ok) {
+      ADD_FAILURE() << "result of task " << i << " held back";
+      break;
+    }
+    ids.insert(r.id);
+  }
+
+  // One long task per worker, then an empty input: each worker is parked
+  // in flush() awaiting its result when one daemon dies.
+  farm.input()->push(rt::Task::data(4, 1.0));
+  farm.input()->push(rt::Task::data(5, 1.0));
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  ::kill(doomed.pid, SIGKILL);
+
+  // Both long results arrive before the input closes: the doomed worker's
+  // task is recovered onto the survivor.
+  for (int k = 0; k < 2; ++k) {
+    rt::Task r;
+    if (farm.output()->pop_for(r, timeout) != support::ChannelStatus::Ok) {
+      ADD_FAILURE() << "long task result " << k << " never arrived";
+      break;
+    }
+    ids.insert(r.id);
+  }
+
+  farm.input()->close();
+  farm.wait();
+  rt::Task rest;
+  while (farm.output()->pop(rest) == support::ChannelStatus::Ok)
+    ids.insert(rest.id);
+  pool.stop_watch();
+
+  EXPECT_GE(farm.failures(), 1u);
+  EXPECT_EQ(ids.size(), 6u);
+  for (int i = 0; i < 6; ++i)
+    EXPECT_EQ(ids.count(static_cast<std::uint64_t>(i)), 1u) << "id " << i;
+
+  stop_bskd(doomed, SIGKILL);
+  stop_bskd(survivor, SIGKILL);
 }
 
 }  // namespace

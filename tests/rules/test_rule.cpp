@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <vector>
 
 #include "rules/rule.hpp"
@@ -25,21 +26,29 @@ TEST(Operand, ResolveLiteralAndConstant) {
   EXPECT_FALSE(resolve(Operand{std::string("missing")}, c).has_value());
 }
 
+// gtest names each case after the raw bytes of its parameter, padding
+// included, so the padding is spelled out and zeroed: left implicit it holds
+// stack garbage and the case names change from run to run.
 struct CmpCase {
+  CmpCase(CmpOp op, double lhs, double rhs, bool expect)
+      : op(op), lhs(lhs), rhs(rhs), expect(expect) {}
   CmpOp op;
+  std::int32_t pad0 = 0;
   double lhs, rhs;
   bool expect;
+  char pad1[7] = {};
 };
+static_assert(sizeof(CmpCase) == 32, "CmpCase must have no implicit padding");
 
 class PatternCmp : public ::testing::TestWithParam<CmpCase> {};
 
 TEST_P(PatternCmp, ComparisonSemantics) {
-  const auto [op, lhs, rhs, expect] = GetParam();
+  const CmpCase& k = GetParam();
   WorkingMemory wm;
-  wm.set("B", lhs);
+  wm.set("B", k.lhs);
   ConstantTable c;
-  Pattern p{"B", false, {{op, Operand{rhs}}}};
-  EXPECT_EQ(p.matches(wm, c), expect);
+  Pattern p{"B", false, {{k.op, Operand{k.rhs}}}};
+  EXPECT_EQ(p.matches(wm, c), k.expect);
 }
 
 INSTANTIATE_TEST_SUITE_P(
