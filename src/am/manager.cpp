@@ -11,6 +11,7 @@
 
 #include "analysis/analyzer.hpp"
 #include "obs/metrics.hpp"
+#include "support/thread_name.hpp"
 
 namespace bsk::am {
 
@@ -88,7 +89,10 @@ void AutonomicManager::span_note(const std::string& event, double value,
 
 void AutonomicManager::start() {
   if (running_.exchange(true)) return;
-  loop_ = std::jthread([this](std::stop_token st) { control_loop(st); });
+  loop_ = std::jthread([this](std::stop_token st) {
+    support::set_thread_name("am-manager");
+    control_loop(st);
+  });
 }
 
 void AutonomicManager::stop() {

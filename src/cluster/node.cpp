@@ -13,6 +13,7 @@
 #include "net/remote_conduit.hpp"
 #include "obs/metrics.hpp"
 #include "support/event_log.hpp"
+#include "support/thread_name.hpp"
 
 namespace bsk::cluster {
 
@@ -124,9 +125,15 @@ void ClusterNode::rebind_self(std::uint16_t port) {
 
 void ClusterNode::start() {
   if (running_.exchange(true)) return;
-  gossip_ = std::jthread([this](std::stop_token st) { gossip_loop(st); });
+  gossip_ = std::jthread([this](std::stop_token st) {
+    support::set_thread_name("node-gossip");
+    gossip_loop(st);
+  });
   if (opts_.beacon_port)
-    beacon_ = std::jthread([this](std::stop_token st) { beacon_loop(st); });
+    beacon_ = std::jthread([this](std::stop_token st) {
+      support::set_thread_name("node-beacon");
+      beacon_loop(st);
+    });
 }
 
 void ClusterNode::stop(bool broadcast) {

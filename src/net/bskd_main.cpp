@@ -90,6 +90,7 @@
 #include "support/clock.hpp"
 #include "support/event_log.hpp"
 #include "support/thread_annotations.hpp"
+#include "support/thread_name.hpp"
 
 namespace {
 
@@ -322,8 +323,10 @@ class ExecutorPool {
       if (stopping_) return;
       queue_.push_back(std::move(fn));
       if (idle_ == 0 && threads_.size() < cap_)
-        threads_.emplace_back(
-            [this](const std::stop_token& st) { run(st); });
+        threads_.emplace_back([this](const std::stop_token& st) {
+          bsk::support::set_thread_name("bskd-exec");
+          run(st);
+        });
     }
     cv_.notify_one();
   }
@@ -725,8 +728,8 @@ class Daemon final : public bsk::net::EpollServer::Handler {
 
   // ----------------------------------------------------------- shm serve
 
-  /// One blocking drain thread per negotiated segment: shm recv uses the
-  /// spin→yield→futex ladder, so a dedicated thread is what keeps the
+  /// One blocking drain thread per negotiated segment: shm recv waits on a
+  /// futex once the segment idles, so a dedicated thread is what keeps the
   /// colocated round-trip in the microsecond range (an epoll loop cannot
   /// wait on a futex in shared memory). Bounded by the number of colocated
   /// clients that negotiated shm, not by connection count.
@@ -736,6 +739,7 @@ class Daemon final : public bsk::net::EpollServer::Handler {
     bsk::support::MutexLock lk(shm_mu_);
     shm_threads_.emplace_back([this, s = std::move(s), shm = std::move(shm),
                                my_epoch, conn](const std::stop_token& st) {
+      bsk::support::set_thread_name("bskd-shm");
       serve_shm(st, s, shm, my_epoch, conn);
     });
   }

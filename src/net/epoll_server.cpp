@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "obs/metrics.hpp"
+#include "support/thread_name.hpp"
 
 namespace bsk::net {
 
@@ -96,7 +97,10 @@ EpollServer::EpollServer(Handler& handler, EpollOptions opts)
 
 void EpollServer::start() {
   if (!valid() || loop_.joinable() || stopping_.load()) return;
-  loop_ = std::jthread([this](const std::stop_token& st) { loop(st); });
+  loop_ = std::jthread([this](const std::stop_token& st) {
+    support::set_thread_name("epoll-loop");
+    loop(st);
+  });
 }
 
 EpollServer::~EpollServer() { stop(); }

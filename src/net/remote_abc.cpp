@@ -1,5 +1,7 @@
 #include "net/remote_abc.hpp"
 
+#include "support/thread_name.hpp"
+
 namespace bsk::net {
 
 // ---------------------------------------------------------------- client
@@ -123,7 +125,10 @@ void AbcServer::serve() {
 
 void AbcServer::start() {
   if (thread_.joinable()) return;
-  thread_ = std::jthread([this] { serve(); });
+  thread_ = std::jthread([this] {
+    support::set_thread_name("abc-server");
+    serve();
+  });
 }
 
 void AbcServer::stop() {

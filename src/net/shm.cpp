@@ -36,7 +36,7 @@ struct ShmObs {
       obs::counter("bsk_net_shm_bytes_received_total", "bytes read from rings");
   obs::Counter& futex_waits = obs::counter(
       "bsk_net_shm_futex_waits_total",
-      "ring waits that exhausted the spin/yield rungs and slept");
+      "ring waits that parked on the futex");
   obs::Counter& full_stalls = obs::counter(
       "bsk_net_shm_ring_full_stalls_total", "sends that waited for ring space");
   obs::Counter& segments =
@@ -91,6 +91,57 @@ std::size_t round_pow2(std::size_t v) {
 // Futex sleep bound: short enough that a missed wake or a peer that died
 // without closing is noticed promptly via the closed-bit recheck.
 constexpr long kFutexSliceNs = 50'000'000;  // 50 ms
+
+// Adaptive wait. A short pause-spin covers a peer that is mid-write. After
+// it, sched_yield runs only while this wait is younger than kYieldBudgetNs
+// (about 3x a futex wake) and the endpoint's smoothed recent wait length
+// `avg_ns` fits the same budget: dense traffic (a round trip in flight)
+// yields, an idle endpoint parks on the futex word `seq` at once. `stop`
+// (argument: about to park) ends the wait unsuccessfully. Waits that end
+// inside the spin are not counted; longer ones enter the average clamped to
+// twice the budget, so one long idle stretch is forgotten within a few
+// dense waits.
+constexpr unsigned kSpin = 64;
+constexpr std::int64_t kYieldBudgetNs = 50'000;
+
+std::int64_t mono_ns() {
+  return std::chrono::duration_cast<std::chrono::nanoseconds>(
+             std::chrono::steady_clock::now().time_since_epoch())
+      .count();
+}
+
+template <typename Ready, typename Stop>
+bool adaptive_wait(std::atomic<std::uint32_t>& seq,
+                   std::atomic<std::uint32_t>& waiters,
+                   std::atomic<std::int64_t>& avg_ns, Ready ready, Stop stop) {
+  for (unsigned i = 0; i < kSpin; ++i) {
+    if (ready()) return true;
+    cpu_relax();
+  }
+  const std::int64_t t0 = mono_ns();
+  bool ok = false;
+  for (;;) {
+    const std::uint32_t s = seq.load(std::memory_order_acquire);
+    if ((ok = ready())) break;
+    const bool young = mono_ns() - t0 < kYieldBudgetNs &&
+                       avg_ns.load(std::memory_order_relaxed) <= kYieldBudgetNs;
+    if (stop(!young)) break;
+    if (young) {
+      std::this_thread::yield();
+      continue;
+    }
+    waiters.fetch_add(1, std::memory_order_acq_rel);
+    if (!ready()) {
+      shm_obs().futex_waits.inc();
+      futex_wait_for(&seq, s, kFutexSliceNs);
+    }
+    waiters.fetch_sub(1, std::memory_order_acq_rel);
+  }
+  const std::int64_t len = std::min(mono_ns() - t0, 2 * kYieldBudgetNs);
+  const std::int64_t avg = avg_ns.load(std::memory_order_relaxed);
+  avg_ns.store(avg + (len - avg) / 8, std::memory_order_relaxed);
+  return ok;
+}
 
 }  // namespace
 
@@ -317,34 +368,18 @@ void ShmTransport::fail_decode(DecodeError e) {
 // ----------------------------------------------------------------- sending
 
 // Block until the producer ring has `need` free bytes (need ≤ cap). Returns
-// false if the transport closed while waiting. Spin/yield rungs are skipped
-// here: a full ring means the consumer is behind by a whole ring's worth,
-// so the wait is macroscopic and the futex is the right tool.
+// false if the transport closed while waiting.
 bool ShmTransport::wait_space_locked(std::uint64_t need) {
   RingCtl& c = tx_ctl();
   const std::uint64_t cap = hdr()->ring_bytes;
-  const auto space = [&] {
+  const auto fits = [&] {
     return cap - (c.head.load(std::memory_order_relaxed) -
-                  c.tail.load(std::memory_order_acquire));
+                  c.tail.load(std::memory_order_acquire)) >= need;
   };
-  if (space() >= need) return true;
+  if (fits()) return true;
   shm_obs().full_stalls.inc();
-  for (unsigned i = 0; i < opts_.yields; ++i) {
-    if (space() >= need) return true;
-    if (closed()) return false;
-    std::this_thread::yield();
-  }
-  for (;;) {
-    const std::uint32_t seq = c.space_seq.load(std::memory_order_acquire);
-    if (space() >= need) return true;
-    if (closed()) return false;
-    c.space_waiters.fetch_add(1, std::memory_order_acq_rel);
-    if (space() < need) {
-      shm_obs().futex_waits.inc();
-      futex_wait_for(&c.space_seq, seq, kFutexSliceNs);
-    }
-    c.space_waiters.fetch_sub(1, std::memory_order_acq_rel);
-  }
+  return adaptive_wait(c.space_seq, c.space_waiters, tx_wait_ns_, fits,
+                       [&](bool) { return closed(); });
 }
 
 // Copy `n` bytes into the producer ring at absolute offset `at` (no
@@ -522,63 +557,34 @@ bool ShmTransport::wait_readable(std::size_t need, bool bounded,
                                  double deadline, Frame* control_out,
                                  RecvStatus* control_status) {
   RingCtl& c = rx_ctl();
-  const auto avail = [&] {
+  const auto readable = [&] {
     return c.head.load(std::memory_order_acquire) -
-           c.tail.load(std::memory_order_relaxed);
+               c.tail.load(std::memory_order_relaxed) >=
+           need;
   };
-
-  // Rung 1: busy spin — the peer is typically mid-write on another core.
-  for (unsigned i = 0; i < opts_.spin; ++i) {
-    if (avail() >= need) return true;
-    cpu_relax();
-  }
-
-  // Rung 2: sched_yield — on machines with fewer cores than busy threads
-  // (including the 1-CPU case) this hands the core to the peer and is the
-  // rung that carries microsecond round-trips.
-  for (unsigned i = 0; i < opts_.yields; ++i) {
-    if (avail() >= need) return true;
-    if (closed() && avail() < need) {
+  // Control frames arriving on the TCP anchor (Leave at daemon shutdown,
+  // Shutdown) are polled only before parking: by the time they matter the
+  // rings are idle.
+  const auto stop = [&](bool parking) {
+    if (closed() && !readable()) {
       *control_status = RecvStatus::Closed;
-      return false;
+      return true;
     }
     if (bounded && wall_now() >= deadline) {
       *control_status = RecvStatus::TimedOut;
-      return false;
+      return true;
     }
-    std::this_thread::yield();
-  }
-
-  // Rung 3: futex sleep, rechecking the closed bit and the anchor each
-  // bounded slice. Control frames arriving on the TCP anchor (Leave at
-  // daemon shutdown, Shutdown) are surfaced from here — by the time they
-  // matter the rings are idle.
-  for (;;) {
-    const std::uint32_t seq = c.data_seq.load(std::memory_order_acquire);
-    if (avail() >= need) return true;
-    if (closed() && avail() < need) {
-      *control_status = RecvStatus::Closed;
-      return false;
-    }
-    if (bounded && wall_now() >= deadline) {
-      *control_status = RecvStatus::TimedOut;
-      return false;
-    }
-    if (anchor_ != nullptr && control_out != nullptr) {
+    if (parking && anchor_ != nullptr && control_out != nullptr) {
       Frame f;
       if (anchor_->recv_for(f, 0.0) == RecvStatus::Ok) {
         *control_out = std::move(f);
         *control_status = RecvStatus::Ok;
-        return false;
+        return true;
       }
     }
-    c.data_waiters.fetch_add(1, std::memory_order_acq_rel);
-    if (avail() < need) {
-      shm_obs().futex_waits.inc();
-      futex_wait_for(&c.data_seq, seq, kFutexSliceNs);
-    }
-    c.data_waiters.fetch_sub(1, std::memory_order_acq_rel);
-  }
+    return false;
+  };
+  return adaptive_wait(c.data_seq, c.data_waiters, rx_wait_ns_, readable, stop);
 }
 
 RecvStatus ShmTransport::recv_until(Frame& out, bool bounded,

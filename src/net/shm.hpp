@@ -8,12 +8,13 @@
 // bit-compatible with TCP: the chaos FaultInjector wraps it unchanged and a
 // frame captured off either transport is the same bytes.
 //
-// Waiting is a three-rung ladder tuned for colocated processes on few
-// cores: a short spin (peer is mid-write), sched_yield (peer needs the
-// core — on a 1-CPU box this is the rung that actually runs and is what
-// keeps round-trips in the microsecond range), then a futex sleep on a
-// sequence word (non-private futex: it lives in the shared mapping), woken
-// by the producer only when the waiter count says someone is parked. A
+// Waiting adapts to the traffic: a short spin (peer is mid-write), then
+// sched_yield while the wait is young and this endpoint's recent waits have
+// been short (a round trip in flight; on a 1-CPU box yielding is what hands
+// the core to the peer), otherwise a futex sleep on a sequence word
+// (non-private futex: it lives in the shared mapping), woken by the producer
+// only when the waiter count says someone is parked. An idle endpoint thus
+// parks at once instead of burning a core between sparse frames. A
 // frame is published with a single head-pointer store once fully written,
 // so a consumer never observes a torn frame; frames larger than the ring
 // stream through in chunks with progressive head/tail publication.
@@ -57,8 +58,6 @@ struct Mapping {
 struct ShmOptions {
   std::size_t ring_bytes = 1u << 20;  ///< per-direction ring (pow2-rounded)
   std::size_t max_frame = kDefaultMaxFrame;
-  unsigned spin = 64;     ///< wait-ladder rung 1: busy spins
-  unsigned yields = 256;  ///< wait-ladder rung 2: sched_yield rounds
 };
 
 class ShmTransport final : public Transport {
@@ -154,6 +153,10 @@ class ShmTransport final : public Transport {
   std::atomic<std::uint64_t> bytes_sent_{0};
   std::atomic<std::uint64_t> bytes_received_{0};
   std::atomic<std::uint64_t> heartbeats_{0};
+  /// Smoothed wait lengths (ns) steering the adaptive wait: receive side,
+  /// and send side waiting for ring space.
+  std::atomic<std::int64_t> rx_wait_ns_{0};
+  std::atomic<std::int64_t> tx_wait_ns_{0};
 };
 
 /// Unlink every bsk shm segment in /dev/shm whose embedded owner pid is

@@ -15,6 +15,7 @@
 
 #include "obs/metrics.hpp"
 #include "support/clock.hpp"
+#include "support/thread_name.hpp"
 
 namespace bsk::net {
 
@@ -248,7 +249,10 @@ TcpTransport::TcpTransport(int fd, TcpOptions opts)
     set_nonblock(wake_pipe_[0]);
     set_nonblock(wake_pipe_[1]);
   }
-  io_ = std::jthread([this] { io_loop(); });
+  io_ = std::jthread([this] {
+    support::set_thread_name("tcp-io");
+    io_loop();
+  });
 }
 
 std::unique_ptr<TcpTransport> TcpTransport::connect(const std::string& host,

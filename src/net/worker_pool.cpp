@@ -11,6 +11,7 @@
 
 #include "net/shm.hpp"
 #include "support/clock.hpp"
+#include "support/thread_name.hpp"
 
 namespace bsk::net {
 
@@ -257,6 +258,7 @@ rt::NodeFactory WorkerPool::factory() {
 void WorkerPool::start_watch(rt::Farm& farm, double period_wall_s) {
   if (watch_.joinable()) return;
   watch_ = std::jthread([this, &farm, period_wall_s](std::stop_token st) {
+    support::set_thread_name("pool-watcher");
     while (!st.stop_requested()) {
       std::this_thread::sleep_for(
           std::chrono::duration<double>(period_wall_s));

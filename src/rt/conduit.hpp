@@ -76,6 +76,15 @@ class Conduit {
     return ch_.pop_n(out, max);
   }
 
+  /// A farm worker's pop: wait for tasks, then take them under its own
+  /// lock, counted in size() until release(n) so the queue-length sensors
+  /// still see its staged batch.
+  bool wait_nonempty() { return ch_.wait_nonempty(); }
+  std::size_t try_pop_n_held(std::vector<Task>& out, std::size_t max) {
+    return ch_.try_pop_n_held(out, max);
+  }
+  void release(std::size_t n) { ch_.release(n); }
+
   virtual support::ChannelStatus pop_n_for(std::vector<Task>& out,
                                            std::size_t max,
                                            support::SimDuration d) {

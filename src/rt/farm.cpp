@@ -4,8 +4,8 @@
 #include <chrono>
 
 #include "obs/metrics.hpp"
-#include "rt/ordered_window.hpp"
 #include "support/stats.hpp"
+#include "support/thread_name.hpp"
 
 namespace bsk::rt {
 
@@ -13,11 +13,9 @@ namespace {
 // Input batch the emitter pops per lock acquisition, and the dispatch-bucket
 // granularity for RoundRobin coalescing.
 constexpr std::size_t kEmitterBatch = 64;
-// Tasks a worker claims per pop. Kept small so a slow worker hoards little
-// work away from steal_back()/rebalance(), which only see the channel.
+// Tasks a worker claims per pop. Kept small so a slow worker stages little
+// work ahead of its peers.
 constexpr std::size_t kWorkerBatch = 8;
-// Results the collector drains per lock acquisition.
-constexpr std::size_t kCollectorBatch = 64;
 
 // Process-wide dataplane instruments. Registered once; every farm in the
 // process records into the same series (per-batch, never per-task, so the
@@ -26,7 +24,7 @@ struct FarmObs {
   obs::Counter& dispatched = obs::counter(
       "bsk_farm_tasks_dispatched_total", "data tasks dispatched by emitters");
   obs::Counter& collected = obs::counter(
-      "bsk_farm_tasks_collected_total", "data tasks emitted by collectors");
+      "bsk_farm_tasks_collected_total", "data tasks emitted downstream");
   obs::Counter& failures = obs::counter("bsk_farm_worker_failures_total",
                                         "worker crash recoveries");
   obs::Histogram& emitter_batch =
@@ -35,9 +33,6 @@ struct FarmObs {
   obs::Histogram& worker_batch =
       obs::histogram("bsk_farm_worker_batch_size", {1, 2, 4, 8},
                      "tasks per worker claim batch");
-  obs::Histogram& collector_batch =
-      obs::histogram("bsk_farm_collector_batch_size", {1, 2, 4, 8, 16, 32, 64},
-                     "results per collector drain batch");
   obs::Gauge& epoch = obs::gauge("bsk_farm_snapshot_epoch",
                                  "latest published dispatch-snapshot epoch");
   obs::Gauge& sched_workers = obs::gauge(
@@ -47,7 +42,7 @@ struct FarmObs {
                                   "(latest sensor read)");
   obs::Gauge& reorder_occupancy =
       obs::gauge("bsk_farm_reorder_occupancy",
-                 "tasks parked in the collector's OrderedWindow");
+                 "tasks parked in the ordered farm's OrderedWindow");
 };
 
 FarmObs& farm_obs() {
@@ -63,11 +58,12 @@ Farm::Farm(std::string name, FarmConfig cfg, NodeFactory worker_factory,
       cfg_(cfg),
       factory_(std::move(worker_factory)),
       home_(home),
-      to_collector_(std::max<std::size_t>(cfg.worker_queue_capacity * 4,
-                                          1024)),
+      reorder_(cfg.reorder_window),
       metrics_(cfg.rate_window) {
   // A farm with no workers would deadlock its emitter; one is the floor.
   if (cfg_.initial_workers == 0) cfg_.initial_workers = 1;
+  // Broadcast copies of a task share its order: nothing to reorder.
+  if (cfg_.policy == SchedPolicy::Broadcast) cfg_.ordered = false;
   // Self-made boundary conduits so a standalone farm is usable out of the
   // box (an enclosing pipeline overwrites them during wiring). Their
   // capacity is independent of worker_queue_capacity: shallow *worker*
@@ -94,8 +90,10 @@ void Farm::start() {
   cfg_.reconfig_delay_s = 0.0;
   for (std::size_t i = 0; i < cfg_.initial_workers; ++i) add_worker(home_);
   cfg_.reconfig_delay_s = delay;
-  collector_thread_ = std::jthread([this] { collector_loop(); });
-  emitter_thread_ = std::jthread([this] { emitter_loop(); });
+  emitter_thread_ = std::jthread([this] {
+    support::set_thread_name("farm-emitter");
+    emitter_loop();
+  });
 }
 
 void Farm::wait() {
@@ -109,7 +107,6 @@ void Farm::wait() {
   }
   for (Worker* w : ws)
     if (w->thread.joinable()) w->thread.join();
-  if (collector_thread_.joinable()) collector_thread_.join();
 }
 
 // ----------------------------------------------------------------- snapshot
@@ -207,7 +204,10 @@ bool Farm::add_worker(Placement place, std::optional<sim::CoreLease> lease,
     refresh_snapshot_locked();
   }
   if (started_) {
-    raw->thread = std::jthread([this, raw] { worker_loop(raw); });
+    raw->thread = std::jthread([this, raw] {
+      support::set_thread_name("farm-worker-" + std::to_string(raw->wid));
+      worker_loop(raw);
+    });
     raw->started.store(true);
     support::MutexLock lk(workers_mu_);
     refresh_snapshot_locked();  // now dispatchable
@@ -258,20 +258,23 @@ RemoveWorkerResult Farm::remove_worker() {
 }
 
 std::size_t Farm::rebalance() {
-  const auto snap = snapshot();
+  // Under workers_mu_ no actuator retires or fails a worker and the emitter
+  // poisons none at end of stream while tasks move, so no task (and no
+  // poison) moves to or from a worker on its way out.
+  support::MutexLock lk(workers_mu_);
+  if (shutting_down_.load()) return 0;
   std::vector<Worker*> active;
-  for (Worker* w : snap->sched)
-    if (!w->retiring.load() && !w->failed.load()) active.push_back(w);
+  for (auto& w : workers_)
+    if (w->started.load() && !w->retiring.load() && !w->failed.load())
+      active.push_back(w.get());
   if (active.size() < 2) return 0;
 
   std::size_t moved = 0;
   // Iterate until queue depths are within 1 of each other (or nothing can
-  // be moved). Depth counts the channel plus the worker's staged batch so
-  // the balance matches what queue_lengths() reports; only the channel
-  // share is stealable — staged tasks belong to their worker.
-  const auto depth = [](const Worker* w) {
-    return w->in->size() + w->staged.load(std::memory_order_relaxed);
-  };
+  // be moved). Depth counts the channel plus the worker's staged batch, as
+  // queue_lengths() does, and both are stealable: the channel first, then
+  // the back of the staged batch, which the worker then skips.
+  const auto depth = [](const Worker* w) { return w->in->size(); };
   for (int pass = 0; pass < 64; ++pass) {
     Worker* longest = active.front();
     Worker* shortest = active.front();
@@ -283,13 +286,23 @@ std::size_t Farm::rebalance() {
     const std::size_t lo = depth(shortest);
     if (hi <= lo + 1) break;
     const std::size_t k = (hi - lo) / 2;
-    auto stolen = longest->in->steal_back(k);
-    if (stolen.empty()) break;  // the spread lives in staged batches
+    std::deque<Task> stolen;
+    {
+      support::MutexLock lk(longest->inflight_mu);  // holds its pop still
+      stolen = longest->in->steal_back(k);
+      std::size_t n = 0;
+      for (; stolen.size() < k && !longest->pending.empty(); ++n) {
+        stolen.push_front(std::move(longest->pending.back()));
+        longest->pending.pop_back();
+      }
+      longest->in->release(n);
+    }
+    if (stolen.empty()) break;
     for (auto& t : stolen) {
       // Never block on a give-back: every queue (including the source,
       // which workers keep draining) gets a non-blocking offer, shortest
       // first. Blocking here deadlocked when all queues were full and the
-      // workers themselves were parked on a full collector queue.
+      // workers themselves were parked on a full farm output.
       if (shortest->in->push_for(t, support::SimDuration(0)) ==
           support::ChannelStatus::Ok) {
         ++moved;
@@ -307,8 +320,8 @@ std::size_t Farm::rebalance() {
           break;
         }
       }
-      // Last resort (everything full): park it; the collector delivers
-      // parked tasks at shutdown rather than losing them.
+      // Last resort (everything full): park it; the last one out delivers
+      // parked tasks at end of stream rather than losing them.
       if (!placed) stash_orphan(std::move(t));
     }
   }
@@ -357,14 +370,14 @@ std::size_t Farm::running_workers() const {
 
 std::vector<std::size_t> Farm::queue_lengths() const {
   // Queued = in the channel + staged in the worker's popped-but-unclaimed
-  // batch. Without the staged share, batching would hide up to
-  // kWorkerBatch-1 tasks per worker from the manager's balance sensors.
+  // batch, which the worker pops held so in->size() counts both in one
+  // value: no pop leaves a task momentarily counted nowhere.
   const auto snap = snapshot();
   std::vector<std::size_t> out;
   std::size_t total = 0;
   for (const Worker* w : snap->all)
     if (!w->retiring.load()) {
-      out.push_back(w->in->size() + w->staged.load(std::memory_order_relaxed));
+      out.push_back(w->in->size());
       total += out.back();
     }
   farm_obs().queued.set(static_cast<double>(total));
@@ -486,14 +499,11 @@ void Farm::emitter_loop() {
       if (!t.is_data()) continue;
       for (;;) {
         fresh();
-        // Shortest by channel + staged batch: a worker serially chewing
-        // through a popped batch has an empty channel but is not idle.
-        const auto qload = [](const Worker* w) {
-          return w->in->size() + w->staged.load(std::memory_order_relaxed);
-        };
+        // Shortest by channel + staged batch (both in in->size()): a worker
+        // serially chewing through a popped batch is not idle.
         Worker* best = snap->sched.front();
         for (Worker* w : snap->sched)
-          if (qload(w) < qload(best)) best = w;
+          if (w->in->size() < best->in->size()) best = w;
         if (best->in->push_for(t, support::SimDuration(0)) ==
             support::ChannelStatus::Ok)
           break;
@@ -514,9 +524,9 @@ void Farm::emitter_loop() {
     for (auto& w : workers_) ws.push_back(w.get());
     refresh_snapshot_locked();
   }
-  emitter_done_.store(true);
   for (Worker* w : ws)
     if (!w->retiring.exchange(true)) w->in->push(Task::poison());
+  count_out(/*emitter=*/true);
 }
 
 void Farm::worker_loop(Worker* w) {
@@ -529,18 +539,13 @@ void Farm::worker_loop(Worker* w) {
 
   std::vector<Task> batch;
   batch.reserve(kWorkerBatch);
-  std::vector<Task> results;  // batched worker→collector transfer
+  std::vector<Task> results;  // batched delivery downstream
   results.reserve(kWorkerBatch);
   std::vector<Task> to_recover;
 
   auto stage_result = [&](Task r) {
     w->out_link.charge(r);
     results.push_back(std::move(r));
-  };
-  auto flush_results = [&] {
-    if (results.empty()) return;
-    to_collector_.push_n(results);
-    results.clear();
   };
 
   bool poisoned = false;
@@ -564,11 +569,7 @@ void Farm::worker_loop(Worker* w) {
           crashed = true;
           for (Task& rt : w->node->drain_unacked())
             to_recover.push_back(std::move(rt));
-          while (!w->pending.empty()) {
-            to_recover.push_back(std::move(w->pending.front()));
-            w->pending.pop_front();
-          }
-          w->staged.store(0, std::memory_order_relaxed);
+          w->take_pending(to_recover);
         }
         emit = r.has_value();
       } else if (w->failed.load()) {
@@ -583,11 +584,7 @@ void Farm::worker_loop(Worker* w) {
           to_recover.push_back(std::move(*w->inflight));
           w->inflight.reset();
         }
-        while (!w->pending.empty()) {
-          to_recover.push_back(std::move(w->pending.front()));
-          w->pending.pop_front();
-        }
-        w->staged.store(0, std::memory_order_relaxed);
+        w->take_pending(to_recover);
       } else {
         emit = true;
         w->inflight.reset();
@@ -602,32 +599,35 @@ void Farm::worker_loop(Worker* w) {
       std::optional<Task> r = w->node->flush();
       const bool more = r.has_value();
       handoff(std::move(r));
-      flush_results();
+      deliver(results);
       if (!more) break;
     }
   };
 
   while (!poisoned && !crashed) {
     batch.clear();
-    if (w->in->pop_n(batch, kWorkerBatch) != support::ChannelStatus::Ok) break;
-    farm_obs().worker_batch.observe(static_cast<double>(batch.size()));
+    if (!w->in->wait_nonempty()) break;
 
-    // Stage the whole batch for crash recovery before executing any of it.
-    // If the crash already landed, the injector cannot have seen these
-    // tasks anywhere — re-offer them ourselves, exactly once.
+    // Pop and stage the batch for crash recovery under the recovery lock,
+    // before executing any of it: rebalance() and recover_worker() then
+    // find every task in the channel or in pending, never in between, and
+    // in->size() counts the pending batch (held) until each task leaves it.
     {
       support::MutexLock lk(w->inflight_mu);
       if (w->failed.load()) {
-        lk.unlock();
-        for (Task& t : batch)
-          if (t.is_data()) resubmit(std::move(t));
-        crashed = true;
+        crashed = true;  // the exit path below recovers the queue
         break;
       }
+      if (w->in->try_pop_n_held(batch, kWorkerBatch) == 0) continue;
+      std::size_t staged = 0;
       for (const Task& t : batch)
-        if (t.is_data()) w->pending.push_back(t);
-      w->staged.store(w->pending.size(), std::memory_order_relaxed);
+        if (t.is_data()) {
+          w->pending.push_back(t);
+          ++staged;
+        }
+      w->in->release(batch.size() - staged);  // control tasks
     }
+    farm_obs().worker_batch.observe(static_cast<double>(batch.size()));
 
     for (Task& t : batch) {
       if (t.kind == TaskKind::Poison) {
@@ -639,15 +639,18 @@ void Farm::worker_loop(Worker* w) {
       // Claim the task: its recovery copy moves from pending to inflight.
       // A recovery-owning node instead stages its own copy before the wire
       // send; until then a racing injector's drain is compensated by our
-      // own post-process drain below.
+      // own post-process drain below. rebalance() steals from the back of
+      // pending, so an empty pending means this and every later data task
+      // of the batch moved to another worker.
       {
         support::MutexLock lk(w->inflight_mu);
         if (w->failed.load()) {
           crashed = true;  // injector drained pending, incl. this task
           break;
         }
+        if (w->pending.empty()) continue;
         w->pending.pop_front();
-        w->staged.store(w->pending.size(), std::memory_order_relaxed);
+        w->in->release(1);
         if (!node_recovers) w->inflight = t;
       }
 
@@ -661,7 +664,7 @@ void Farm::worker_loop(Worker* w) {
       if (crashed) break;
     }
 
-    flush_results();
+    deliver(results);
 
     // A pipelining node keeps results of tasks already on the wire until
     // its credit window fills. With no input queued, release them now
@@ -677,14 +680,15 @@ void Farm::worker_loop(Worker* w) {
 
   // Tasks handed to this worker that it will never run: batch entries
   // staged behind a poison, and whatever raced into the queue after it.
-  // Previously these were silently dropped. Broadcast copies are dropped
-  // by design — every other worker holds its own copy.
+  // Closing first makes a dispatcher still holding a stale snapshot re-route
+  // instead of pushing into a queue nobody reads. Broadcast copies are
+  // dropped by design — every other worker holds its own copy.
   if (poisoned) {
+    w->in->close();
     std::deque<Task> leftover;
     {
       support::MutexLock lk(w->inflight_mu);
-      leftover.swap(w->pending);
-      w->staged.store(0, std::memory_order_relaxed);
+      w->take_pending(leftover);
     }
     if (cfg_.policy != SchedPolicy::Broadcast) {
       for (Task& t : leftover)
@@ -717,10 +721,10 @@ void Farm::worker_loop(Worker* w) {
   for (Task& t : to_recover)
     if (t.is_data()) resubmit(std::move(t));
 
-  flush_results();
+  deliver(results);
   w->node->on_stop();
   w->exited.store(true);
-  to_collector_.push(Task::worker_done());
+  count_out(/*emitter=*/false);
 }
 
 void Farm::resubmit(Task t) {
@@ -808,11 +812,7 @@ void Farm::recover_worker(Worker* victim) {
         orphans.push_front(std::move(*victim->inflight));
         victim->inflight.reset();
       }
-      while (!victim->pending.empty()) {
-        orphans.push_back(std::move(victim->pending.front()));
-        victim->pending.pop_front();
-      }
-      victim->staged.store(0, std::memory_order_relaxed);
+      victim->take_pending(orphans);
     }
     for (Task& t : victim->node->drain_unacked())
       orphans.push_back(std::move(t));
@@ -859,84 +859,77 @@ void Farm::stash_orphan(Task t) {
 }
 
 void Farm::flush_orphans_to(Worker* w) {
-  std::deque<Task> pending;
-  {
-    support::MutexLock lk(orphans_mu_);
-    pending.swap(orphans_);
-  }
-  for (Task& t : pending) w->in->push(std::move(t));
+  // Under orphans_mu_: a task the new worker refuses (its queue closed at
+  // end of stream or on a crash) goes back to orphans_ before the last one
+  // out can deliver them, instead of being dropped.
+  support::MutexLock lk(orphans_mu_);
+  std::deque<Task> refused;
+  for (Task& t : orphans_)
+    if (!w->in->push(t)) refused.push_back(std::move(t));
+  orphans_.swap(refused);
 }
 
-void Farm::collector_loop() {
-  OrderedWindow reorder(cfg_.reorder_window);
-  std::optional<Task> accum;  // Reduce mode
+// ---------------------------------------------------------------- collector
 
-  auto emit = [&](Task t) {
-    metrics_.record_departure();
-    farm_obs().collected.inc();
-    if (out_) out_->push(std::move(t));
-  };
-
-  auto handle_data = [&](Task t) {
-    if (cfg_.collect == CollectMode::Reduce) {
-      if (!accum)
-        accum = std::move(t);
-      else if (cfg_.reducer)
-        accum = cfg_.reducer(std::move(*accum), std::move(t));
-      return;
-    }
-    if (cfg_.ordered && cfg_.policy != SchedPolicy::Broadcast) {
-      reorder.push(std::move(t), emit);
-      return;
-    }
-    emit(std::move(t));
-  };
-
-  std::vector<Task> batch;
-  batch.reserve(kCollectorBatch);
-  for (;;) {
-    batch.clear();
-    const auto st =
-        to_collector_.pop_n_for(batch, kCollectorBatch,
-                                support::SimDuration(0.05));
-    if (st == support::ChannelStatus::Closed) break;
-    if (st == support::ChannelStatus::TimedOut) {
-      if (emitter_done_.load() && done_acks_.load() == spawned_.load()) break;
-      continue;
-    }
-    {
-      FarmObs& fo = farm_obs();
-      fo.collector_batch.observe(static_cast<double>(batch.size()));
-      fo.reorder_occupancy.set(static_cast<double>(reorder.pending()));
-    }
-    for (Task& t : batch) {
-      if (t.kind == TaskKind::WorkerDone) {
-        done_acks_.fetch_add(1);
-        continue;
-      }
-      if (t.is_data()) handle_data(std::move(t));
-    }
-    // Workers push their results before their done-marker, and the channel
-    // is FIFO: once every done-marker is in, every result already was.
-    if (emitter_done_.load() && done_acks_.load() == spawned_.load()) break;
+void Farm::deliver(std::vector<Task>& results) {
+  if (results.empty()) return;
+  if (cfg_.collect == CollectMode::Gather && !cfg_.ordered) {
+    emit(results);
+    return;
   }
+  support::MutexLock lk(deliver_mu_);
+  for (Task& t : results) collect_locked(std::move(t));
+  results.clear();
+  farm_obs().reorder_occupancy.set(static_cast<double>(reorder_.pending()));
+  emit(released_);
+}
+
+void Farm::collect_locked(Task t) {
+  if (cfg_.collect == CollectMode::Reduce) {
+    if (!accum_)
+      accum_ = std::move(t);
+    else if (cfg_.reducer)
+      accum_ = cfg_.reducer(std::move(*accum_), std::move(t));
+    return;
+  }
+  std::vector<Task>& out = released_;
+  if (cfg_.ordered)
+    reorder_.push(std::move(t), [&out](Task r) { out.push_back(std::move(r)); });
+  else
+    out.push_back(std::move(t));
+}
+
+void Farm::emit(std::vector<Task>& ts) {
+  for (std::size_t i = 0; i < ts.size(); ++i) metrics_.record_departure();
+  farm_obs().collected.inc(ts.size());
+  if (out_) out_->push_n(ts);
+  ts.clear();
+}
+
+void Farm::count_out(bool emitter) {
+  support::MutexLock lk(deliver_mu_);
+  if (emitter)
+    emitter_done_ = true;
+  else
+    ++workers_out_;
+  // add_worker refuses once the emitter is done, so spawned_ is final here.
+  if (!emitter_done_ || workers_out_ != spawned_.load()) return;
 
   // Crash-recovery tasks that never found a replacement worker are
   // delivered unprocessed rather than lost (last-resort delivery).
+  std::deque<Task> leftovers;
   {
-    std::deque<Task> leftovers;
-    {
-      support::MutexLock lk(orphans_mu_);
-      leftovers.swap(orphans_);
-    }
-    for (Task& t : leftovers)
-      if (t.is_data()) handle_data(std::move(t));
+    support::MutexLock olk(orphans_mu_);
+    leftovers.swap(orphans_);
   }
-
-  // Flush whatever the reorder buffer still holds (gaps can exist if a
+  for (Task& t : leftovers)
+    if (t.is_data()) collect_locked(std::move(t));
+  // Flush whatever the reorder window still holds (gaps can exist if a
   // retired worker dropped tasks on shutdown) and the reduction result.
-  reorder.flush(emit);
-  if (accum) emit(std::move(*accum));
+  std::vector<Task>& out = released_;
+  reorder_.flush([&out](Task r) { out.push_back(std::move(r)); });
+  if (accum_) released_.push_back(std::move(*accum_));
+  emit(released_);
   if (out_) out_->close();
 }
 

@@ -4,9 +4,11 @@
 //
 // Structure follows the paper's Fig. 2 (left): an emitter S dispatching
 // input tasks to a replicated set of workers W under a scheduling policy,
-// and a collector C gathering (or reducing) results. Every actuator the
-// paper's ABC exposes is a public, thread-safe method callable while the
-// farm runs:
+// and a collector C gathering (or reducing) results. C is a function, not a
+// thread: each worker runs it on its own results (deliver()), and whichever
+// of the emitter and the workers finishes last closes the output. Every
+// actuator the paper's ABC exposes is a public, thread-safe method callable
+// while the farm runs:
 //
 //   add_worker()        – recruit-and-instantiate a new worker (the paper's
 //                         ADD_EXECUTOR); optionally pre-secured, which is
@@ -37,6 +39,7 @@
 #include "rt/conduit.hpp"
 #include "rt/metrics.hpp"
 #include "rt/node.hpp"
+#include "rt/ordered_window.hpp"
 #include "rt/runnable.hpp"
 #include "support/thread_annotations.hpp"
 
@@ -61,7 +64,7 @@ struct FarmConfig {
   std::size_t initial_workers = 1;
   SchedPolicy policy = SchedPolicy::RoundRobin;
   CollectMode collect = CollectMode::Gather;
-  /// Preserve emission order at the collector (Gather only).
+  /// Preserve emission order (Gather only; a Broadcast farm ignores it).
   bool ordered = false;
   std::size_t worker_queue_capacity = 4096;
   /// Sliding reorder window of the ordered collector (maximum distance a
@@ -114,7 +117,7 @@ class Farm final : public Runnable {
   std::size_t rebalance();
 
   /// Secure every currently-untrusted unsecured link (emitter→worker and
-  /// worker→collector). Returns the number of links secured.
+  /// worker→output). Returns the number of links secured.
   std::size_t secure_all_links();
 
   /// Fault injection: crash one worker (the most recently added active
@@ -179,7 +182,7 @@ class Farm final : public Runnable {
     std::size_t wid = 0;
     std::unique_ptr<Node> node;
     ConduitPtr in;                       ///< emitter → this worker
-    Link out_link;                       ///< this worker → collector
+    Link out_link;                       ///< this worker → farm output
     Placement place;
     std::optional<sim::CoreLease> lease;
     std::jthread thread;
@@ -191,12 +194,20 @@ class Farm final : public Runnable {
     /// Recovery state, all under inflight_mu: the task the worker thread is
     /// executing right now (inflight), plus the batch it popped but has not
     /// started yet (pending). Guards the emit/fail race for exactly-once.
+    /// The pending batch stays counted in in->size() (try_pop_n_held)
+    /// until a task leaves it, so that one value is the worker's queue
+    /// length; every removal from pending releases it.
     support::Mutex inflight_mu{"Farm.Worker.inflight"};
     std::optional<Task> inflight BSK_GUARDED_BY(inflight_mu);
     std::deque<Task> pending BSK_GUARDED_BY(inflight_mu);
-    /// Lock-free mirror of pending.size() so sensors and rebalance() can
-    /// count staged-but-unclaimed tasks without taking inflight_mu.
-    std::atomic<std::size_t> staged{0};
+
+    /// Move every pending task to `out` (recovery paths).
+    template <typename C>
+    void take_pending(C& out) BSK_REQUIRES(inflight_mu) {
+      in->release(pending.size());
+      for (Task& t : pending) out.push_back(std::move(t));
+      pending.clear();
+    }
   };
 
   /// Immutable epoch-numbered view of the worker set. The emitter and the
@@ -212,7 +223,20 @@ class Farm final : public Runnable {
 
   void emitter_loop();
   void worker_loop(Worker* w);
-  void collector_loop();
+  /// The collector function, run by the worker that produced `results`:
+  /// unordered gather pushes them to out_ under no farm lock; ordered gather
+  /// and Reduce go through the reorder window / accumulator under
+  /// deliver_mu_. Clears `results`.
+  void deliver(std::vector<Task>& results);
+  /// Route one result into the reorder window, the accumulator or released_.
+  void collect_locked(Task t) BSK_REQUIRES(deliver_mu_);
+  /// Record departures and push `ts` to out_. Clears `ts`.
+  void emit(std::vector<Task>& ts);
+  /// Last one out: the emitter (after poisoning the workers) and each
+  /// exiting worker count themselves out; whoever completes the count
+  /// delivers the orphans, flushes the window and the reduction, and closes
+  /// out_ — exactly once.
+  void count_out(bool emitter);
   void resubmit(Task t);  // crash recovery: re-offer to a survivor
   /// Recover a victim already marked retiring: steal its queue, capture the
   /// in-flight task (exactly once, racing the worker's own recovery),
@@ -248,8 +272,14 @@ class Farm final : public Runnable {
       std::make_shared<Snapshot>();
   std::atomic<std::uint64_t> epoch_{0};
 
-  // Shared worker→collector channel; per-worker Link charges its cost.
-  support::Channel<Task> to_collector_;
+  // Collector state. deliver_mu_ serializes ordered/Reduce delivery and the
+  // end-of-stream count.
+  support::Mutex deliver_mu_{"Farm.deliver"};
+  OrderedWindow reorder_ BSK_GUARDED_BY(deliver_mu_);
+  std::optional<Task> accum_ BSK_GUARDED_BY(deliver_mu_);  ///< Reduce mode
+  std::vector<Task> released_ BSK_GUARDED_BY(deliver_mu_);
+  bool emitter_done_ BSK_GUARDED_BY(deliver_mu_) = false;
+  std::size_t workers_out_ BSK_GUARDED_BY(deliver_mu_) = 0;
 
   // Tasks recovered from crashed workers while no survivor existed; flushed
   // to the next added worker, or delivered unprocessed at shutdown.
@@ -258,13 +288,10 @@ class Farm final : public Runnable {
 
   NodeMetrics metrics_;
   std::jthread emitter_thread_;
-  std::jthread collector_thread_;
 
   std::atomic<bool> reconfiguring_{false};
-  std::atomic<bool> emitter_done_{false};
   std::atomic<bool> shutting_down_{false};
   std::atomic<std::size_t> spawned_{0};
-  std::atomic<std::size_t> done_acks_{0};
   std::atomic<std::size_t> failures_{0};
   std::atomic<std::uint64_t> order_seq_{0};
   bool started_ = false;

@@ -2,9 +2,9 @@
 // Link: cost and security state of one directed machine-to-machine edge.
 //
 // Factored out of Conduit so the farm can charge per-worker output costs
-// into a shared collector channel: each worker owns a Link describing its
-// edge to the collector, while emitter→worker edges embed a Link inside a
-// Conduit. charge() blocks for the simulated transfer time and counts
+// without a channel per worker: each worker owns a Link describing its edge
+// to the farm's home, where results leave the farm, while emitter→worker
+// edges embed a Link inside a Conduit. charge() blocks for the simulated transfer time and counts
 // *insecure exposures* — data messages sent over an unsecured untrusted
 // link, the metric the Sec. 3.2 two-phase protocol eliminates.
 

@@ -1,11 +1,11 @@
 #pragma once
-// OrderedWindow: sliding-window reorder buffer for the farm's ordered
-// collector.
+// OrderedWindow: sliding-window reorder buffer for an ordered farm.
 //
-// Results arrive from concurrent workers tagged with the emitter-assigned
-// Task::order. Delivery must be in order. A std::map keyed by order gives
-// O(log n) insert plus node allocation per task — measurable on the
-// collector hot path. This buffer instead keys a ring of `window` slots by
+// Workers deliver their results, tagged with the emitter-assigned
+// Task::order, under the farm's delivery lock. Delivery
+// downstream must be in order. A std::map keyed by order gives O(log n)
+// insert plus node allocation per task — measurable on that lock's hot
+// path. This buffer instead keys a ring of `window` slots by
 // `order % window`: O(1) insert, O(1) pop, zero steady-state allocation.
 //
 // An arrival beyond the current window (order >= next + window) grows the

@@ -1,5 +1,7 @@
 #include "rt/seq_stage.hpp"
 
+#include "support/thread_name.hpp"
+
 namespace bsk::rt {
 
 SeqStage::SeqStage(std::string name, std::unique_ptr<Node> node,
@@ -12,7 +14,10 @@ SeqStage::SeqStage(std::string name, std::unique_ptr<Node> node,
 void SeqStage::start() {
   if (started_) return;
   started_ = true;
-  thread_ = std::jthread([this] { run(); });
+  thread_ = std::jthread([this] {
+    support::set_thread_name("seq-stage");
+    run();
+  });
 }
 
 void SeqStage::wait() {

@@ -6,7 +6,7 @@
 // the computational demand in reference-seconds (used by simulated compute
 // nodes), a message size (used by the platform's communication cost model),
 // and timestamps for latency accounting. Control tasks (poison pills,
-// worker-done acks) share the same type so they can travel the same
+// filtered-task markers) share the same type so they can travel the same
 // channels.
 
 #include <any>
@@ -21,7 +21,7 @@ namespace bsk::rt {
 enum class TaskKind : std::uint8_t {
   Data,        ///< ordinary stream element
   Poison,      ///< tells one worker to drain and exit
-  WorkerDone,  ///< worker → collector: this worker has exited
+  WorkerDone,  ///< wire reply marking a task the worker filtered out
 };
 
 /// One stream element (or control message).

@@ -58,7 +58,7 @@ class Channel {
     while (!closed_ && q_.size() >= capacity_) not_full_.wait(mu_);
     if (closed_) return false;
     q_.push_back(std::move(item));
-    size_.store(q_.size(), std::memory_order_relaxed);
+    size_.fetch_add(1, std::memory_order_relaxed);
     lk.unlock();
     not_empty_.notify_one();
     return true;
@@ -70,7 +70,7 @@ class Channel {
       MutexLock lk(mu_);
       if (closed_ || q_.size() >= capacity_) return false;
       q_.push_back(std::move(item));
-      size_.store(q_.size(), std::memory_order_relaxed);
+      size_.fetch_add(1, std::memory_order_relaxed);
     }
     not_empty_.notify_one();
     return true;
@@ -95,7 +95,7 @@ class Channel {
       if (closed_) return ChannelStatus::Closed;
     }
     q_.push_back(std::move(item));
-    size_.store(q_.size(), std::memory_order_relaxed);
+    size_.fetch_add(1, std::memory_order_relaxed);
     lk.unlock();
     not_empty_.notify_one();
     return ChannelStatus::Ok;
@@ -116,7 +116,7 @@ class Channel {
       const std::size_t take = std::min(room, items.size() - pushed);
       for (std::size_t i = 0; i < take; ++i)
         q_.push_back(std::move(items[pushed++]));
-      size_.store(q_.size(), std::memory_order_relaxed);
+      size_.fetch_add(take, std::memory_order_relaxed);
       // Notify while looping: consumers must drain to make room for the
       // rest of the batch.
       if (take > 1)
@@ -134,7 +134,7 @@ class Channel {
     if (q_.empty()) return ChannelStatus::Closed;
     out = std::move(q_.front());
     q_.pop_front();
-    size_.store(q_.size(), std::memory_order_relaxed);
+    size_.fetch_sub(1, std::memory_order_relaxed);
     lk.unlock();
     not_full_.notify_one();
     return ChannelStatus::Ok;
@@ -152,7 +152,7 @@ class Channel {
     if (q_.empty()) return ChannelStatus::Closed;
     out = std::move(q_.front());
     q_.pop_front();
-    size_.store(q_.size(), std::memory_order_relaxed);
+    size_.fetch_sub(1, std::memory_order_relaxed);
     lk.unlock();
     not_full_.notify_one();
     return ChannelStatus::Ok;
@@ -187,6 +187,28 @@ class Channel {
     return ChannelStatus::Ok;
   }
 
+  /// Block until an item is queued (true) or the channel is closed and
+  /// drained (false). Pops nothing, so a consumer can then take the items
+  /// with try_pop_n_held under a lock of its own.
+  bool wait_nonempty() {
+    MutexLock lk(mu_);
+    while (!closed_ && q_.empty()) not_empty_.wait(mu_);
+    return !q_.empty();
+  }
+
+  /// Non-blocking batched pop; returns the number of items taken. They
+  /// stay counted in size() until the consumer release()s them — for a
+  /// consumer that stages a batch before working through it, so a depth
+  /// sensor never sees a staged item counted nowhere.
+  std::size_t try_pop_n_held(std::vector<T>& out, std::size_t max) {
+    MutexLock lk(mu_);
+    if (q_.empty()) return 0;
+    const std::size_t take = drain_locked(out, max, /*hold=*/true);
+    lk.unlock();
+    notify_drained(take);
+    return take;
+  }
+
   /// Non-blocking pop.
   std::optional<T> try_pop() {
     std::optional<T> out;
@@ -195,7 +217,7 @@ class Channel {
       if (q_.empty()) return std::nullopt;
       out.emplace(std::move(q_.front()));
       q_.pop_front();
-      size_.store(q_.size(), std::memory_order_relaxed);
+      size_.fetch_sub(1, std::memory_order_relaxed);
     }
     not_full_.notify_one();
     return out;
@@ -229,10 +251,14 @@ class Channel {
     return closed_;
   }
 
-  /// Lock-free queue depth (an atomic mirror updated inside every critical
-  /// section — exact whenever the channel is quiescent, and never more than
-  /// one operation stale under contention).
+  /// Lock-free queue depth plus items taken by try_pop_n_held and not yet
+  /// released (an atomic counter updated inside every critical section —
+  /// exact whenever the channel is quiescent, and never more than one
+  /// operation stale under contention).
   std::size_t size() const { return size_.load(std::memory_order_relaxed); }
+
+  /// Stop counting `n` items taken by try_pop_n_held.
+  void release(std::size_t n) { size_.fetch_sub(n, std::memory_order_relaxed); }
 
   std::size_t capacity() const { return capacity_; }
 
@@ -249,7 +275,7 @@ class Channel {
         out.push_front(std::move(q_.back()));
         q_.pop_back();
       }
-      size_.store(q_.size(), std::memory_order_relaxed);
+      size_.fetch_sub(out.size(), std::memory_order_relaxed);
     }
     not_full_.notify_all();
     return out;
@@ -258,14 +284,14 @@ class Channel {
  private:
   /// Move up to `max` queued items into `out` (queue known non-empty);
   /// returns the number taken. Caller unlocks, then notify_drained().
-  std::size_t drain_locked(std::vector<T>& out, std::size_t max)
-      BSK_REQUIRES(mu_) {
+  std::size_t drain_locked(std::vector<T>& out, std::size_t max,
+                           bool hold = false) BSK_REQUIRES(mu_) {
     const std::size_t take = std::min(max == 0 ? 1 : max, q_.size());
     for (std::size_t i = 0; i < take; ++i) {
       out.push_back(std::move(q_.front()));
       q_.pop_front();
     }
-    size_.store(q_.size(), std::memory_order_relaxed);
+    if (!hold) size_.fetch_sub(take, std::memory_order_relaxed);
     return take;
   }
 

@@ -11,6 +11,7 @@
 #include <fcntl.h>
 #include <sys/mman.h>
 #include <sys/wait.h>
+#include <time.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -165,6 +166,34 @@ TEST(ShmTransport, CloseDrainsBufferedFramesThenReportsClosed) {
   }
   EXPECT_EQ(pair.b->recv_for(f, 2.0), RecvStatus::Closed);
   EXPECT_TRUE(pair.b->closed());
+}
+
+// A receiver whose frames arrive ~100 µs apart must park between them, not
+// spin or yield through every gap: its thread CPU time stays a small share
+// of the wall time it spends receiving.
+TEST(ShmTransport, IdleReceiverParksInsteadOfSpinning) {
+  auto pair = ShmTransport::make_pair();
+  const int kFrames = 400;
+  double cpu_s = 0.0;
+  const double t0 = wall_now();
+  std::thread receiver([&] {
+    Frame f;
+    for (int i = 0; i < kFrames; ++i)
+      ASSERT_EQ(pair.b->recv_for(f, 5.0), RecvStatus::Ok) << "frame " << i;
+    timespec ts{};
+    ::clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+    cpu_s = static_cast<double>(ts.tv_sec) + ts.tv_nsec * 1e-9;
+  });
+  for (int i = 0; i < kFrames; ++i) {
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+    ASSERT_TRUE(pair.a->send(msg(FrameType::TaskMsg, pattern(64, 1))));
+  }
+  receiver.join();
+  const double wall_s = wall_now() - t0;
+  EXPECT_LT(cpu_s, 0.2 * wall_s) << "receiver cpu " << cpu_s << " s of "
+                                 << wall_s << " s wall";
+  pair.a->close();
+  pair.b->close();
 }
 
 // send_serialized must produce byte-identical frames to the Frame path —

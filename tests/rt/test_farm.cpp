@@ -2,8 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
+#include <filesystem>
+#include <fstream>
 #include <numeric>
 #include <set>
+#include <string>
+#include <thread>
 
 #include "rt/farm.hpp"
 #include "support/clock.hpp"
@@ -205,13 +211,91 @@ TEST(Farm, DestructorWithoutWaitIsSafe) {
   f.reset();  // closes input, drains, joins
 }
 
+// The collector runs in the workers, not in a thread of its own: a running
+// 3-worker farm shows one emitter thread, three worker threads and no
+// collector thread under /proc/self/task.
+TEST(Farm, NamesEmitterAndWorkerThreadsAndHasNoCollector) {
+  ScopedClockScale fast(500.0);
+  FarmConfig cfg;
+  cfg.initial_workers = 3;
+  Farm f("f", cfg, identity_workers());
+  f.start();
+  std::size_t emitters = 0, workers = 0, collectors = 0;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(2);
+  do {  // threads name themselves as they start: poll briefly
+    emitters = workers = collectors = 0;
+    for (const auto& e : std::filesystem::directory_iterator("/proc/self/task")) {
+      std::ifstream in(e.path() / "comm");
+      std::string name;
+      std::getline(in, name);
+      if (name == "farm-emitter") ++emitters;
+      if (name.rfind("farm-worker-", 0) == 0) ++workers;
+      if (name.find("collect") != std::string::npos) ++collectors;
+    }
+  } while ((emitters != 1 || workers != 3) &&
+           std::chrono::steady_clock::now() < deadline);
+  EXPECT_EQ(emitters, 1u);
+  EXPECT_EQ(workers, 3u);
+  EXPECT_EQ(collectors, 0u);
+  f.input()->close();
+  f.wait();
+}
+
+// The only worker crashed and no replacement came: it exits before the end
+// of the stream, so the emitter is the last one out and must deliver the
+// recovered tasks unprocessed and close the output.
+TEST(Farm, EmitterClosesOutputWhenEveryWorkerExitedFirst) {
+  ScopedClockScale fast(500.0);
+  struct CrashedNode final : Node {
+    std::optional<Task> process(Task t) override {
+      t.id += 1000;  // a processed result must never surface
+      return t;
+    }
+    bool failed() const override { return true; }
+  };
+  FarmConfig cfg;
+  cfg.initial_workers = 1;
+  Farm f("f", cfg, [] { return std::make_unique<CrashedNode>(); });
+  constexpr std::size_t kTasks = 40;
+  for (std::size_t i = 0; i < kTasks; ++i)
+    ASSERT_TRUE(f.input()->push(Task::data(i, 0.0)));
+  f.start();
+  const auto until = [](auto done) {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(2);
+    while (!done() && std::chrono::steady_clock::now() < deadline)
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    return done();
+  };
+  ASSERT_TRUE(until([&] { return f.running_workers() == 0; }));
+  f.fail_crashed_workers();
+  f.input()->close();
+  ASSERT_TRUE(until([&] { return f.output()->closed(); }))
+      << "output not closed within 2 s";
+  f.wait();
+  std::vector<std::uint64_t> ids = drain_ids(f);
+  std::sort(ids.begin(), ids.end());
+  std::vector<std::uint64_t> want(kTasks);
+  std::iota(want.begin(), want.end(), 0);
+  EXPECT_EQ(ids, want);  // every id exactly once, none processed
+}
+
 // Parameterized sweep: every policy×ordering combination processes the
 // whole stream.
+//
+// gtest names each case after the raw bytes of its parameter, padding
+// included, so the padding is spelled out and zeroed: left implicit it holds
+// stack garbage and the case names change from run to run.
 struct FarmCase {
+  FarmCase(SchedPolicy policy, bool ordered, std::size_t workers)
+      : policy(policy), ordered(ordered), workers(workers) {}
   SchedPolicy policy;
   bool ordered;
+  char pad[3] = {};
   std::size_t workers;
 };
+static_assert(sizeof(FarmCase) == 16, "FarmCase must have no implicit padding");
 
 class FarmSweep : public ::testing::TestWithParam<FarmCase> {};
 

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <atomic>
+#include <chrono>
+#include <thread>
+
 #include "rt/farm.hpp"
 #include "support/clock.hpp"
 
@@ -191,6 +196,73 @@ TEST(FarmReconfig, RebalanceEvensQueues) {
   std::size_t n = 0;
   while (f.output()->pop(t) == support::ChannelStatus::Ok) ++n;
   EXPECT_EQ(n, 20u);
+}
+
+// queue_lengths() sampled while workers pop batches: a worker's queue
+// length plus the tasks it has started must always account for every task
+// dispatched to it (less at most the one being claimed) and never count one
+// twice. A sensor that reads the channel and the staged batch as two values
+// misses a batch caught mid-pop.
+TEST(FarmReconfig, QueueLengthsNeverHideQueuedTasks) {
+  ScopedClockScale fast(500.0);
+  constexpr std::size_t kWorkers = 3;
+  constexpr std::size_t kTasks = 6000;
+  FarmConfig cfg;
+  cfg.initial_workers = kWorkers;
+  cfg.worker_queue_capacity = kTasks;
+  std::atomic<bool> gate{false};
+  std::array<std::atomic<std::size_t>, kWorkers> started{};
+  std::size_t next_node = 0;  // factory runs in worker-creation order
+  Farm f("f", cfg, [&] {
+    std::atomic<std::size_t>* mine = &started.at(next_node++);
+    return std::make_unique<LambdaNode>([&gate, mine](Task t) {
+      mine->fetch_add(1);
+      while (!gate.load()) std::this_thread::yield();
+      return std::optional<Task>{std::move(t)};
+    });
+  });
+  f.start();
+  for (std::size_t i = 0; i < kTasks; ++i)
+    ASSERT_TRUE(f.input()->push(Task::data(i, 0.0)));
+
+  // Gate closed: each worker sits in its first task; wait until every
+  // other task is queued somewhere, which fixes each worker's share.
+  std::array<std::size_t, kWorkers> share{};
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  for (;;) {
+    const auto qs = f.queue_lengths();
+    std::size_t total = 0;
+    for (std::size_t i = 0; i < kWorkers; ++i) {
+      share[i] = qs[i] + started[i].load();
+      total += share[i];
+    }
+    if (total == kTasks) break;
+    ASSERT_LT(std::chrono::steady_clock::now(), deadline);
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+
+  gate.store(true);
+  std::size_t samples = 0;
+  for (bool busy = true; busy; ++samples) {
+    std::array<std::size_t, kWorkers> before{};
+    for (std::size_t i = 0; i < kWorkers; ++i) before[i] = started[i].load();
+    const auto qs = f.queue_lengths();
+    busy = false;
+    for (std::size_t i = 0; i < kWorkers; ++i) {
+      const std::size_t after = started[i].load();
+      ASSERT_GE(qs[i] + after + 1, share[i])
+          << "worker " << i << " hides queued tasks (sample " << samples << ")";
+      ASSERT_LE(qs[i] + before[i], share[i]) << "worker " << i;
+      busy = busy || after < share[i];
+    }
+  }
+  f.input()->close();
+  f.wait();
+  Task t;
+  std::size_t n = 0;
+  while (f.output()->pop(t) == support::ChannelStatus::Ok) ++n;
+  EXPECT_EQ(n, kTasks);
 }
 
 TEST(FarmReconfig, RebalanceNoopWithOneWorker) {
