@@ -90,10 +90,23 @@ else
   export BSK_BENCH_BUILD_TYPE="${BSK_BENCH_BUILD_TYPE:-default}"
 fi
 
-python3 - "$TMPDIR_BENCH/runtime.json" "$TMPDIR_BENCH/net.json" "$OUT" <<'PY'
-import json, os, sys
+python3 - "$TMPDIR_BENCH/runtime.json" "$TMPDIR_BENCH/net.json" "$OUT" "$ROOT" <<'PY'
+import json, os, subprocess, sys
 
-runtime_path, net_path, out_path = sys.argv[1], sys.argv[2], sys.argv[3]
+runtime_path, net_path, out_path, root = sys.argv[1:5]
+
+
+def git(*args):
+    try:
+        return subprocess.run(["git", "-C", root, *args], capture_output=True,
+                              text=True, check=True).stdout.strip()
+    except (OSError, subprocess.CalledProcessError):
+        return None
+
+
+# Source state, recorded as e2ebench's run context records it.
+git_sha = git("rev-parse", "HEAD")
+git_status = git("status", "--porcelain", "--untracked-files=no")
 
 benches = {}
 context = {}
@@ -109,6 +122,8 @@ for path in (runtime_path, net_path):
             "build_type": os.environ.get("BSK_BENCH_BUILD_TYPE", "default"),
             "cpu_model": os.environ.get("BSK_BENCH_CPU_MODEL", "unknown"),
             "nproc": int(os.environ.get("BSK_BENCH_NPROC", "0") or 0),
+            "git_sha": git_sha,
+            "git_dirty": None if git_status is None else bool(git_status),
         }
     for b in doc.get("benchmarks", []):
         if b.get("run_type") != "iteration":

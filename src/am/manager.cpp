@@ -6,7 +6,6 @@
 #include <set>
 #include <condition_variable>
 #include <mutex>
-#include <limits>
 #include <stdexcept>
 
 #include "analysis/analyzer.hpp"
@@ -33,12 +32,6 @@ ManagerObs& manager_obs() {
 
 }  // namespace
 
-namespace beans {
-std::string child_violation(const std::string& kind) {
-  return "Violation_" + kind;
-}
-}  // namespace beans
-
 AutonomicManager::AutonomicManager(std::string name, Abc& abc,
                                    ManagerConfig cfg, support::EventLog* log)
     : name_(std::move(name)),
@@ -46,25 +39,17 @@ AutonomicManager::AutonomicManager(std::string name, Abc& abc,
       cfg_(cfg),
       log_(log != nullptr ? log : &support::global_event_log()) {
   // Defaults for the standard rule constants; a contract refines them.
-  consts_.set("FARM_LOW_PERF_LEVEL", 0.0);
-  consts_.set("FARM_HIGH_PERF_LEVEL", 1e30);
-  consts_.set("FARM_MIN_NUM_WORKERS", static_cast<double>(cfg_.min_workers));
-  consts_.set("FARM_MAX_NUM_WORKERS", static_cast<double>(cfg_.max_workers));
-  consts_.set("FARM_MAX_UNBALANCE", cfg_.max_unbalance);
-  consts_.set("FARM_ADD_WORKERS", 2.0);  // workers added per ADD_EXECUTOR
-  consts_.set("MAX_LATENCY", 1e30);
-  consts_.set("FT_MAX_FAILED_RECRUITS",
+  for (const ConstantDef& c : kConstants)
+    if (c.seed) consts_.set(c.name, *c.seed);
+  consts_.set(consts::kFarmMinNumWorkers,
+              static_cast<double>(cfg_.min_workers));
+  consts_.set(consts::kFarmMaxNumWorkers,
+              static_cast<double>(cfg_.max_workers));
+  consts_.set(consts::kFarmMaxUnbalance, cfg_.max_unbalance);
+  consts_.set(consts::kFtMaxFailedRecruits,
               static_cast<double>(cfg_.max_failed_recruits));
-  consts_.set("CLUSTER_MIN_NODES",
+  consts_.set(consts::kClusterMinNodes,
               static_cast<double>(cfg_.min_cluster_nodes));
-  // Gossip-protocol defaults, literal mirrors of cluster::ClusterOptions
-  // (the am layer must not link bsk_cluster — the dependency arrow runs
-  // the other way). The registry cross-check test asserts these literals
-  // against the real defaults, so drift fails CI.
-  consts_.set("CLUSTER_ROOT_FANOUT", 4.0);
-  consts_.set("CLUSTER_SUSPECT_AFTER", 3.0);
-  consts_.set("CLUSTER_SUSPECT_QUEUE", 8.0);
-  consts_.set("CLUSTER_DELTA_GOSSIP", 1.0);
   install_default_operations();
 }
 
@@ -139,7 +124,7 @@ bool AutonomicManager::monitor_phase(Sensors& out) {
   // consts_ is shared with set_contract/derive_constants (other threads).
   {
     support::MutexLock lk(state_mu_);
-    consts_.set("WORKER_FAILURES", static_cast<double>(out.new_failures));
+    consts_.set(consts::kWorkerFailures, static_cast<double>(out.new_failures));
   }
   if (out.new_failures > 0)
     record("workerFail", static_cast<double>(out.new_failures));
@@ -345,18 +330,18 @@ std::vector<std::string> AutonomicManager::run_cycle_once() {
 
 void AutonomicManager::derive_constants_locked() {
   if (contract_.throughput) {
-    consts_.set("FARM_LOW_PERF_LEVEL", contract_.throughput->first);
+    consts_.set(consts::kFarmLowPerfLevel, contract_.throughput->first);
     const double hi = contract_.throughput->second;
-    consts_.set("FARM_HIGH_PERF_LEVEL",
-                std::isinf(hi) ? 1e30 : hi);
+    consts_.set(consts::kFarmHighPerfLevel, std::isinf(hi) ? kUnbounded : hi);
   }
-  consts_.set("MAX_LATENCY",
-              contract_.max_latency_s ? *contract_.max_latency_s : 1e30);
+  consts_.set(consts::kMaxLatency,
+              contract_.max_latency_s ? *contract_.max_latency_s : kUnbounded);
   std::size_t max_w = cfg_.max_workers;
   if (contract_.par_degree) max_w = std::min(max_w, *contract_.par_degree);
-  consts_.set("FARM_MAX_NUM_WORKERS", static_cast<double>(max_w));
-  consts_.set("FARM_MIN_NUM_WORKERS", static_cast<double>(cfg_.min_workers));
-  consts_.set("FARM_MAX_UNBALANCE", cfg_.max_unbalance);
+  consts_.set(consts::kFarmMaxNumWorkers, static_cast<double>(max_w));
+  consts_.set(consts::kFarmMinNumWorkers,
+              static_cast<double>(cfg_.min_workers));
+  consts_.set(consts::kFarmMaxUnbalance, cfg_.max_unbalance);
 }
 
 void AutonomicManager::set_contract(const Contract& c) {
@@ -546,7 +531,7 @@ void AutonomicManager::install_default_operations() {
     // requests more (the Fig. 5 guard is `<=`, so it can overshoot by a
     // step without this cap).
     const auto max_w = static_cast<std::size_t>(
-        constant("FARM_MAX_NUM_WORKERS").value_or(1e9));
+        constant(consts::kFarmMaxNumWorkers).value_or(1e9));
     const std::size_t cur = last_sensors().nworkers;
     n = std::min(n, max_w > cur ? max_w - cur : 0);
     std::size_t added = 0;

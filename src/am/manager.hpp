@@ -33,6 +33,7 @@
 
 #include "am/abc.hpp"
 #include "am/contract.hpp"
+#include "am/vocabulary.hpp"
 #include "obs/trace.hpp"
 #include "rules/engine.hpp"
 #include "rules/parser.hpp"
@@ -95,52 +96,6 @@ struct MembershipEvent {
   std::uint64_t epoch = 0;   ///< membership epoch after the change
   std::string origin_proc;   ///< reporting process tag ("" = local)
 };
-
-/// Standard bean names asserted by the monitor phase.
-namespace beans {
-inline constexpr const char* kArrivalRate = "ArrivalRateBean";
-inline constexpr const char* kDepartureRate = "DepartureRateBean";
-inline constexpr const char* kNumWorker = "NumWorkerBean";
-inline constexpr const char* kQueueVariance = "QueueVarianceBean";
-/// The paper's Fig. 5 spells it "QuequeVarianceBean"; both are asserted so
-/// its rule text runs unmodified.
-inline constexpr const char* kQueueVariancePaper = "QuequeVarianceBean";
-inline constexpr const char* kServiceTime = "ServiceTimeBean";
-inline constexpr const char* kLatency = "LatencyBean";
-inline constexpr const char* kQueuedTasks = "QueuedTasksBean";
-inline constexpr const char* kStreamEnd = "StreamEndBean";
-inline constexpr const char* kUnsecuredLinks = "UnsecuredLinksBean";
-/// Workers crashed since the previous cycle / since start.
-inline constexpr const char* kWorkerFailure = "WorkerFailureBean";
-inline constexpr const char* kTotalFailures = "TotalFailuresBean";
-/// Consecutive ADD_EXECUTOR calls that recruited nothing (reset on any
-/// successful add) — the capacity-cannot-be-restored signal the
-/// degradation rules watch. When recruitment runs off a live cluster
-/// membership view, this means "cluster exhausted".
-inline constexpr const char* kFailedRecruits = "FailedRecruitsBean";
-/// Cluster membership feed (bsk::cluster): members that joined/left since
-/// the previous cycle (pulse beans, retracted after one cycle) and the
-/// live fleet size (persistent once a membership event has been seen).
-inline constexpr const char* kNodesJoined = "NodesJoinedBean";
-inline constexpr const char* kNodesLeft = "NodesLeftBean";
-inline constexpr const char* kClusterNodes = "ClusterNodesBean";
-/// Pulse bean asserted for one cycle when child `kind` violations arrive:
-/// "Violation_<kind>Bean".
-std::string child_violation(const std::string& kind);
-}  // namespace beans
-
-/// Standard operation names fired by rules.
-namespace ops {
-inline constexpr const char* kAddExecutor = "ADD_EXECUTOR";
-inline constexpr const char* kRemoveExecutor = "REMOVE_EXECUTOR";
-inline constexpr const char* kBalanceLoad = "BALANCE_LOAD";
-inline constexpr const char* kRaiseViolation = "RAISE_VIOLATION";
-inline constexpr const char* kSecureLinks = "SECURE_LINKS";
-/// Renegotiate the contract downward: lower the throughput floor to the
-/// observed departure rate when capacity cannot be restored (paper
-/// Sec. 3.1 — the manager goes passive and reports the best it can do).
-inline constexpr const char* kDegradeContract = "DEGRADE_CONTRACT";
-}  // namespace ops
 
 class AutonomicManager : public rules::OperationSink {
  public:
@@ -281,10 +236,6 @@ class AutonomicManager : public rules::OperationSink {
 
   /// Last sensor snapshot taken by the monitor phase.
   Sensors last_sensors() const;
-
-  /// The cycle id of the MAPE cycle currently executing (or the last one),
-  /// 1-based. Used to link raiseViol reports to their origin cycle.
-  std::uint64_t current_cycle() const { return current_cycle_.load(); }
 
  private:
   void control_loop(const std::stop_token& st);

@@ -7,6 +7,7 @@
 #include <set>
 #include <sstream>
 
+#include "am/vocabulary.hpp"
 #include "support/json.hpp"
 
 namespace bsk::analysis {
@@ -104,29 +105,8 @@ std::string findings_to_json(const std::vector<Finding>& fs) {
 
 rules::ConstantTable model_constants() {
   rules::ConstantTable c;
-  // AutonomicManager constructor defaults...
-  c.set("FARM_MIN_NUM_WORKERS", 1.0);
-  c.set("FARM_MAX_NUM_WORKERS", 16.0);
-  c.set("FARM_MAX_UNBALANCE", 4.0);
-  c.set("FARM_ADD_WORKERS", 2.0);
-  c.set("FT_MAX_FAILED_RECRUITS", 3.0);
-  c.set("WORKER_FAILURES", 0.0);
-  c.set("FARM_BACKLOG_THRESHOLD", 100.0);
-  // CLUSTER_MIN_NODES stays unvalued here: it is deployment policy (the
-  // manager seeds it from ManagerOptions::min_cluster_nodes), and any
-  // static value would make the collapse guard vacuously unreachable or
-  // anchor it to one deployment.
-  // Gossip tuning, mirroring the ClusterOptions defaults (cross-checked
-  // against the source of truth by the registry tests).
-  c.set("CLUSTER_ROOT_FANOUT", 4.0);
-  c.set("CLUSTER_SUSPECT_AFTER", 3.0);
-  c.set("CLUSTER_SUSPECT_QUEUE", 8.0);
-  c.set("CLUSTER_DELTA_GOSSIP", 1.0);
-  // ...refined by a representative throughput/latency contract (the
-  // constructor's open-ended defaults would make low-rate guards vacuous).
-  c.set("FARM_LOW_PERF_LEVEL", 0.3);
-  c.set("FARM_HIGH_PERF_LEVEL", 0.7);
-  c.set("MAX_LATENCY", 10.0);
+  for (const am::ConstantDef& k : am::kConstants)
+    if (k.model) c.set(k.name, *k.model);
   return c;
 }
 
@@ -390,7 +370,7 @@ void pair_checks(const std::vector<RuleRegion>& regions, const Registry& reg,
            "rule '" + rb.spec->name + "' is shadowed by '" + ra.spec->name +
                "': whenever it fires, the higher-priority rule fires the "
                "same operations — the effect is silently duplicated (" +
-               "ADD_EXECUTOR twice adds twice)",
+               am::ops::kAddExecutor + " twice adds twice)",
            rb.spec->name, ra.spec->name, "", rb.spec->line, ""});
     }
   }
@@ -481,7 +461,7 @@ std::vector<Finding> check_contract_split(const SplitSpec& spec,
   // ceil(lo * T_service) workers to sustain it.
   const double stage_lo = spec.parent_lo;
   const double max_w =
-      consts.get("FARM_MAX_NUM_WORKERS")
+      consts.get(am::consts::kFarmMaxNumWorkers)
           .value_or(static_cast<double>(spec.max_workers));
   const double peak = max_w / spec.service_time_s;
   if (stage_lo > peak) {
@@ -491,25 +471,27 @@ std::vector<Finding> check_contract_split(const SplitSpec& spec,
             " stage(s) must sustain " + num(stage_lo) +
             " tasks/s, needing " + num(needed) + " workers of " +
             num(spec.service_time_s) + "s service time, but " +
-            "FARM_MAX_NUM_WORKERS = " + num(max_w) + " caps the farm at " +
-            num(peak) + " tasks/s");
+            am::consts::kFarmMaxNumWorkers + " = " + num(max_w) +
+            " caps the farm at " + num(peak) + " tasks/s");
   }
 
   // Do the rule thresholds actually enforce the parent contract?
-  if (const auto low = consts.get("FARM_LOW_PERF_LEVEL"); low &&
+  if (const auto low = consts.get(am::consts::kFarmLowPerfLevel); low &&
       *low < stage_lo)
     add(Severity::Error,
-        "rule program under-enforces the contract: FARM_LOW_PERF_LEVEL = " +
-            num(*low) + " < stage floor " + num(stage_lo) +
-            " — ADD_EXECUTOR's guard is already content while the parent "
-            "contract is still violated");
-  if (const auto high = consts.get("FARM_HIGH_PERF_LEVEL"); high &&
+        std::string("rule program under-enforces the contract: ") +
+            am::consts::kFarmLowPerfLevel + " = " + num(*low) +
+            " < stage floor " + num(stage_lo) + " — " + am::ops::kAddExecutor +
+            "'s guard is already content while the parent contract is "
+            "still violated");
+  if (const auto high = consts.get(am::consts::kFarmHighPerfLevel); high &&
       spec.parent_hi < 1e29 && *high > spec.parent_hi)
     add(Severity::Warning,
-        "rule program tolerates over-delivery: FARM_HIGH_PERF_LEVEL = " +
-            num(*high) + " > parent ceiling " + num(spec.parent_hi) +
-            " — REMOVE_EXECUTOR never triggers inside the parent's "
-            "violation band");
+        std::string("rule program tolerates over-delivery: ") +
+            am::consts::kFarmHighPerfLevel + " = " + num(*high) +
+            " > parent ceiling " + num(spec.parent_hi) + " — " +
+            am::ops::kRemoveExecutor +
+            " never triggers inside the parent's violation band");
   return out;
 }
 

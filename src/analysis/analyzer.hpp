@@ -90,9 +90,9 @@ struct AnalysisOptions {
   bool pair_checks = true;
 };
 
-/// The AutonomicManager's constructor defaults plus a representative
-/// throughput contract (lo=0.3, hi=0.7 tasks/s, 1..16 workers) — the
-/// valuation bsk-lint uses when no live manager table is available.
+/// The model valuation of am::kConstants (manager defaults plus a
+/// representative throughput contract, lo=0.3, hi=0.7 tasks/s, 1..16
+/// workers) — what bsk-lint uses when no live manager table is available.
 rules::ConstantTable model_constants();
 
 /// Analyze one rule program against a registry. Findings are ordered by

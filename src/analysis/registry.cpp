@@ -2,17 +2,16 @@
 
 #include <sstream>
 
-// Header-only dependency on the manager's name tables (inline constexpr
-// strings); bsk_analysis does NOT link bsk_am — the dependency arrow runs the
-// other way (the manager optionally lints rule programs at load time).
-#include "am/manager.hpp"
+// Header-only dependency on the manager's vocabulary table; bsk_analysis
+// does NOT link bsk_am — the dependency arrow runs the other way (the manager
+// optionally lints rule programs at load time).
+#include "am/vocabulary.hpp"
 #include "support/json.hpp"
 
 namespace bsk::analysis {
 
 void Registry::add_bean(std::string name, Interval domain, std::string doc) {
-  BeanInfo info{name, domain, std::move(doc)};
-  beans_[std::move(name)] = std::move(info);
+  beans_[std::move(name)] = BeanInfo{domain, std::move(doc)};
 }
 
 void Registry::add_bean_prefix(std::string prefix) {
@@ -80,112 +79,35 @@ std::string Registry::to_json() const {
     json::write_string(os, info.doc);
     os << "}";
   }
-  os << "],\"bean_prefixes\":[";
-  first = true;
-  for (const std::string& p : bean_prefixes_) {
-    if (!first) os << ",";
-    first = false;
-    json::write_string(os, p);
-  }
-  os << "],\"operations\":[";
-  first = true;
-  for (const std::string& o : operations_) {
-    if (!first) os << ",";
-    first = false;
-    json::write_string(os, o);
-  }
-  os << "],\"constants\":[";
-  first = true;
-  for (const std::string& c : constants_) {
-    if (!first) os << ",";
-    first = false;
-    json::write_string(os, c);
-  }
-  os << "],\"payloads\":[";
-  first = true;
-  for (const std::string& p : payloads_) {
-    if (!first) os << ",";
-    first = false;
-    json::write_string(os, p);
-  }
-  os << "]}";
+  os << "]";
+  const auto write_names = [&os](const char* key, const auto& names) {
+    os << ",\"" << key << "\":[";
+    bool first_name = true;
+    for (const std::string& n : names) {
+      if (!first_name) os << ",";
+      first_name = false;
+      json::write_string(os, n);
+    }
+    os << "]";
+  };
+  write_names("bean_prefixes", bean_prefixes_);
+  write_names("operations", operations_);
+  write_names("constants", constants_);
+  write_names("payloads", payloads_);
+  os << "}";
   return os.str();
 }
 
 Registry default_registry() {
   Registry r;
-  const Interval nonneg = Interval::ge(0.0);
-
-  r.add_bean(am::beans::kArrivalRate, nonneg, "tasks/s entering the skeleton");
-  r.add_bean(am::beans::kDepartureRate, nonneg, "tasks/s leaving the skeleton");
-  r.add_bean(am::beans::kNumWorker, nonneg, "current farm parallelism degree");
-  r.add_bean(am::beans::kQueueVariance, nonneg,
-             "variance of per-worker queue lengths");
-  r.add_bean(am::beans::kQueueVariancePaper, nonneg,
-             "paper-spelled alias of QueueVarianceBean");
-  r.add_bean(am::beans::kServiceTime, nonneg, "mean service time (s)");
-  r.add_bean(am::beans::kLatency, nonneg, "per-task latency (s)");
-  r.add_bean(am::beans::kQueuedTasks, nonneg, "tasks waiting in input queues");
-  r.add_bean(am::beans::kStreamEnd, Interval::closed(0.0, 1.0),
-             "1 when the input stream has ended");
-  r.add_bean(am::beans::kUnsecuredLinks, nonneg,
-             "links still running in the clear");
-  r.add_bean(am::beans::kWorkerFailure, nonneg,
-             "worker failures observed this cycle");
-  r.add_bean(am::beans::kTotalFailures, nonneg,
-             "worker failures since start");
-  r.add_bean(am::beans::kFailedRecruits, nonneg,
-             "consecutive failed replacement recruitments; with a live "
-             "membership feed this means the cluster is exhausted, not that "
-             "one static host is down");
-  r.add_bean(am::beans::kNodesJoined, nonneg,
-             "cluster nodes that joined since the last cycle (pulse)");
-  r.add_bean(am::beans::kNodesLeft, nonneg,
-             "cluster nodes that left or were evicted since the last cycle "
-             "(pulse)");
-  r.add_bean(am::beans::kClusterNodes, nonneg,
-             "current live cluster membership size");
-  // One pulse bean per child violation kind (beans::child_violation).
-  r.add_bean_prefix("Violation_");
-
-  r.add_operation(am::ops::kAddExecutor);
-  r.add_operation(am::ops::kRemoveExecutor);
-  r.add_operation(am::ops::kBalanceLoad);
-  r.add_operation(am::ops::kRaiseViolation);
-  r.add_operation(am::ops::kSecureLinks);
-  r.add_operation(am::ops::kDegradeContract);
-
-  // Constants the AutonomicManager constructor seeds / derive_constants
-  // refreshes. FARM_BACKLOG_THRESHOLD has no default — builtin backlog rules
-  // document that the application must set it.
-  r.add_constant("FARM_LOW_PERF_LEVEL");
-  r.add_constant("FARM_HIGH_PERF_LEVEL");
-  r.add_constant("FARM_MIN_NUM_WORKERS");
-  r.add_constant("FARM_MAX_NUM_WORKERS");
-  r.add_constant("FARM_MAX_UNBALANCE");
-  r.add_constant("FARM_ADD_WORKERS");
-  r.add_constant("FARM_BACKLOG_THRESHOLD");
-  r.add_constant("MAX_LATENCY");
-  r.add_constant("FT_MAX_FAILED_RECRUITS");
-  r.add_constant("WORKER_FAILURES");
-  r.add_constant("CLUSTER_MIN_NODES");
-  // Gossip-protocol tuning (PR 9), mirrored from the ClusterOptions
-  // defaults so rule programs can reason about fleet behavior; the
-  // registry<->source cross-check test keeps the literals honest.
-  r.add_constant("CLUSTER_ROOT_FANOUT");
-  r.add_constant("CLUSTER_SUSPECT_AFTER");
-  r.add_constant("CLUSTER_SUSPECT_QUEUE");
-  r.add_constant("CLUSTER_DELTA_GOSSIP");
-
-  // Violation kinds used as symbolic setData payloads.
-  r.add_payload("notEnoughTasks_VIOL");
-  r.add_payload("tooMuchTasks_VIOL");
-  r.add_payload("degradedContract_VIOL");
-
-  r.add_ordering("FARM_LOW_PERF_LEVEL", "FARM_HIGH_PERF_LEVEL");
-  r.add_ordering("FARM_MIN_NUM_WORKERS", "FARM_MAX_NUM_WORKERS");
-
-  r.add_conflicting_ops(am::ops::kAddExecutor, am::ops::kRemoveExecutor);
+  for (const am::BeanDef& b : am::kBeans)
+    r.add_bean(b.name, Interval::closed(b.lo, b.hi), b.doc);
+  r.add_bean_prefix(am::beans::kViolationPrefix);
+  for (const char* op : am::kOperations) r.add_operation(op);
+  for (const am::ConstantDef& c : am::kConstants) r.add_constant(c.name);
+  for (const char* p : am::kPayloads) r.add_payload(p);
+  for (const auto& [lo, hi] : am::kOrderings) r.add_ordering(lo, hi);
+  for (const auto& [a, b] : am::kAntagonisticOps) r.add_conflicting_ops(a, b);
   return r;
 }
 

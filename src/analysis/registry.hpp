@@ -6,10 +6,10 @@
 // unknown bean/operation/constant is a *static* finding instead of a rule
 // that silently never fires (the engine's runtime behaviour for bad names).
 //
-// The default registry mirrors src/am/ (bsk::am::beans, bsk::am::ops, the
-// constants AutonomicManager seeds in its constructor); a unit test
-// cross-checks the two so they cannot drift apart. Callers extend it with
-// application-registered operations/constants before analysing.
+// The default registry is built from the manager's vocabulary table
+// (am/vocabulary.hpp), so it cannot drift from what the manager asserts,
+// handles and seeds. Callers extend it with application-registered
+// operations/constants before analysing.
 
 #include <map>
 #include <optional>
@@ -26,7 +26,6 @@ namespace bsk::analysis {
 /// worker counts are never negative — a rule requiring `value < 0` on one is
 /// statically unreachable).
 struct BeanInfo {
-  std::string name;
   Interval domain;  ///< possible values the monitor phase can assert
   std::string doc;
 };
@@ -65,10 +64,6 @@ class Registry {
     return conflict_ops_;
   }
 
-  const std::map<std::string, BeanInfo>& beans() const { return beans_; }
-  const std::set<std::string>& operations() const { return operations_; }
-  const std::set<std::string>& constants() const { return constants_; }
-
   /// Serialize the vocabulary as JSON (bsk-lint --registry).
   std::string to_json() const;
 
@@ -82,10 +77,9 @@ class Registry {
   std::vector<std::pair<std::string, std::string>> conflict_ops_;
 };
 
-/// The vocabulary of bsk::am::AutonomicManager: every bean its monitor phase
-/// asserts, every operation install_default_operations registers, every
-/// constant the constructor/derive_constants seed, plus the standard
-/// ADD_EXECUTOR/REMOVE_EXECUTOR antagonism and threshold orderings.
+/// The vocabulary of bsk::am::AutonomicManager, read from am/vocabulary.hpp:
+/// its beans with their domains, operations, symbolic payloads, constants,
+/// threshold orderings and the ADD_EXECUTOR/REMOVE_EXECUTOR antagonism.
 Registry default_registry();
 
 }  // namespace bsk::analysis

@@ -45,7 +45,8 @@ Fig3App::Fig3App(const Fig3Params& p, sim::ResourceManager& rm,
                               &log);
   farm_bs_ = farm_bs.get();
   farm_bs_->manager().constants().set(
-      "FARM_ADD_WORKERS", static_cast<double>(p.add_workers_per_step));
+      am::consts::kFarmAddWorkers,
+      static_cast<double>(p.add_workers_per_step));
 
   auto sink_bs = make_seq_bs("consumer", std::make_unique<rt::StreamSink>(),
                              mc, home, &log);
@@ -137,11 +138,11 @@ Fig4App::Fig4App(const Fig4Params& p, sim::ResourceManager& rm,
   am_a.set_violation_handler([this, &am_a](const am::ChildViolation& v) {
     if (am_a.stream_ended()) return;  // endStream: no significant action
     auto& src = producer_source();
-    if (v.kind == "notEnoughTasks_VIOL") {
+    if (v.kind == am::payloads::kNotEnoughTasks) {
       const double nr = src.rate() * params_.inc_rate_factor;
       am_a.record("incRate", nr);
       am_p().set_contract(am::Contract::rate(nr));
-    } else if (v.kind == "tooMuchTasks_VIOL") {
+    } else if (v.kind == am::payloads::kTooMuchTasks) {
       const double nr = src.rate() * params_.dec_rate_factor;
       am_a.record("decRate", nr);
       am_p().set_contract(am::Contract::rate(nr));

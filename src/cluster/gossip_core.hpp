@@ -23,6 +23,7 @@
 #include <map>
 #include <string>
 
+#include "cluster/gossip_defaults.hpp"
 #include "cluster/membership.hpp"
 #include "net/wire.hpp"
 
@@ -59,7 +60,7 @@ enum class GossipDefect : std::uint8_t {
 };
 
 struct GossipConfig {
-  bool delta_gossip = true;
+  bool delta_gossip = defaults::kDeltaGossip;
   GossipDefect defect = GossipDefect::None;
 };
 

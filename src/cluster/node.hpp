@@ -41,6 +41,7 @@
 #include <deque>
 
 #include "cluster/gossip_core.hpp"
+#include "cluster/gossip_defaults.hpp"
 #include "cluster/hierarchy.hpp"
 #include "cluster/membership.hpp"
 #include "net/epoll_server.hpp"
@@ -66,19 +67,19 @@ struct ClusterOptions {
   /// root is dialed with probability min(1, root_fanout/(members-1)), so
   /// the root absorbs ~root_fanout dials per period regardless of fleet
   /// size while convergence still biases through it.
-  std::size_t root_fanout = 4;
+  std::size_t root_fanout = defaults::kRootFanout;
   /// Delta gossip (digest + changed-records exchange) on by default. Off =
   /// the PR-6 full-table exchange on every dial — the equivalence tests and
   /// the E7c before/after comparison run both.
-  bool delta_gossip = true;
+  bool delta_gossip = defaults::kDeltaGossip;
   /// Consecutive failed dials to a member before it is evicted.
-  std::size_t suspect_after = 3;
+  std::size_t suspect_after = defaults::kSuspectAfter;
   /// Bound on the re-probe queue: members whose dial failed are re-dialed
   /// ahead of the rotation (at most one per tick) so suspicion eviction
   /// latency stays ~suspect_after ticks instead of scaling with fleet
   /// size. The queue is bounded — a partition that kills half the fleet
   /// queues at most this many concurrent suspects per node. 0 disables.
-  std::size_t suspect_queue = 8;
+  std::size_t suspect_queue = defaults::kSuspectQueue;
   double handshake_timeout_wall_s = 2.0;
   net::TcpOptions tcp{.connect_timeout_s = 0.5, .connect_retries = 0};
   /// UDP beacon discovery; nullopt disables.

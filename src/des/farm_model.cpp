@@ -1,6 +1,7 @@
 #include "des/farm_model.hpp"
 
 #include "am/builtin_rules.hpp"
+#include "am/vocabulary.hpp"
 #include "rules/parser.hpp"
 
 #include <cmath>
@@ -14,8 +15,8 @@ DesFarm::DesFarm(Simulator& sim, DesFarmParams p)
       p_(p),
       rng_(p.seed),
       target_workers_(p.initial_workers ? p.initial_workers : 1),
-      arrivals_(p.window_s),
-      departures_(p.window_s) {
+      arrivals_(support::SimDuration(p.window_s)),
+      departures_(support::SimDuration(p.window_s)) {
   history_.emplace_back(sim_.now(), target_workers_);
 }
 
@@ -90,17 +91,17 @@ class DesFarmManager::Sink final : public rules::OperationSink {
   Sink(DesFarmManager& m) : m_(m) {}
 
   void fire_operation(const std::string& op, const std::string& data) override {
-    if (op == "ADD_EXECUTOR") {
+    if (op == am::ops::kAddExecutor) {
       std::size_t n = m_.p_.add_per_step;
       if (const auto c = m_.consts_.get(data)) n = static_cast<std::size_t>(*c);
       m_.farm_.add_workers(n);
       ++m_.adds_;
       m_.suppressed_until_ = m_.sim_.now() + m_.p_.cooldown_s;
-    } else if (op == "REMOVE_EXECUTOR") {
+    } else if (op == am::ops::kRemoveExecutor) {
       m_.farm_.remove_workers(1);
       ++m_.removes_;
       m_.suppressed_until_ = m_.sim_.now() + m_.p_.cooldown_s;
-    } else if (op == "RAISE_VIOLATION") {
+    } else if (op == am::ops::kRaiseViolation) {
       ++m_.violations_;
       if (m_.on_violation) m_.on_violation(data);
     }
@@ -116,20 +117,23 @@ DesFarmManager::DesFarmManager(Simulator& sim, DesFarm& farm,
     : sim_(sim), farm_(farm), p_(p) {
   for (rules::Rule& r : rules::parse_rules(am::farm_rules()))
     engine_.add_rule(std::move(r));
-  consts_.set("FARM_LOW_PERF_LEVEL", p_.contract_lo);
-  consts_.set("FARM_HIGH_PERF_LEVEL",
-              std::isinf(p_.contract_hi) ? 1e30 : p_.contract_hi);
-  consts_.set("FARM_MIN_NUM_WORKERS", static_cast<double>(p_.min_workers));
-  consts_.set("FARM_MAX_NUM_WORKERS", static_cast<double>(p_.max_workers));
-  consts_.set("FARM_MAX_UNBALANCE", 1e30);  // central queue: never unbalanced
-  consts_.set("FARM_ADD_WORKERS", static_cast<double>(p_.add_per_step));
+  set_contract(p_.contract_lo, p_.contract_hi);
+  consts_.set(am::consts::kFarmMinNumWorkers,
+              static_cast<double>(p_.min_workers));
+  consts_.set(am::consts::kFarmMaxNumWorkers,
+              static_cast<double>(p_.max_workers));
+  // Central queue: never unbalanced.
+  consts_.set(am::consts::kFarmMaxUnbalance, am::kUnbounded);
+  consts_.set(am::consts::kFarmAddWorkers,
+              static_cast<double>(p_.add_per_step));
 }
 
 void DesFarmManager::set_contract(double lo, double hi) {
   p_.contract_lo = lo;
   p_.contract_hi = hi;
-  consts_.set("FARM_LOW_PERF_LEVEL", lo);
-  consts_.set("FARM_HIGH_PERF_LEVEL", std::isinf(hi) ? 1e30 : hi);
+  consts_.set(am::consts::kFarmLowPerfLevel, lo);
+  consts_.set(am::consts::kFarmHighPerfLevel,
+              std::isinf(hi) ? am::kUnbounded : hi);
 }
 
 void DesFarmManager::start() {
@@ -146,11 +150,11 @@ void DesFarmManager::cycle() {
 
   const double dep = farm_.departure_rate();
   const double arr = farm_.arrival_rate();
-  wm_.set("ArrivalRateBean", arr);
-  wm_.set("DepartureRateBean", dep);
-  wm_.set("NumWorkerBean", static_cast<double>(farm_.workers()));
-  wm_.set("QueueVarianceBean", 0.0);
-  wm_.set("QuequeVarianceBean", 0.0);
+  wm_.set(am::beans::kArrivalRate, arr);
+  wm_.set(am::beans::kDepartureRate, dep);
+  wm_.set(am::beans::kNumWorker, static_cast<double>(farm_.workers()));
+  wm_.set(am::beans::kQueueVariance, 0.0);
+  wm_.set(am::beans::kQueueVariancePaper, 0.0);
 
   if (converged_at_ < 0.0 && dep >= p_.contract_lo && dep <= p_.contract_hi)
     converged_at_ = sim_.now();

@@ -14,7 +14,6 @@
 // actuator); managers are periodic events.
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <limits>
 #include <string>
@@ -26,34 +25,6 @@
 #include "support/stats.hpp"
 
 namespace bsk::des {
-
-/// Sliding-window rate over DES time (explicit timestamps).
-class WindowRate {
- public:
-  explicit WindowRate(double window_s) : window_(window_s) {}
-
-  void record(DesTime t) {
-    stamps_.push_back(t);
-    ++total_;
-    const DesTime lo = t - window_;
-    while (!stamps_.empty() && stamps_.front() < lo) stamps_.pop_front();
-  }
-
-  double rate(DesTime now) const {
-    const DesTime lo = now - window_;
-    std::size_t n = 0;
-    for (auto it = stamps_.rbegin(); it != stamps_.rend() && *it >= lo; ++it)
-      ++n;
-    return window_ > 0 ? static_cast<double>(n) / window_ : 0.0;
-  }
-
-  std::uint64_t total() const { return total_; }
-
- private:
-  double window_;
-  std::deque<DesTime> stamps_;
-  std::uint64_t total_ = 0;
-};
 
 // ------------------------------------------------------------------ farm
 
@@ -107,8 +78,8 @@ class DesFarm {
   std::size_t target_workers_;
   std::size_t busy_ = 0;
   std::size_t queue_ = 0;
-  WindowRate arrivals_;
-  WindowRate departures_;
+  support::RateEstimator arrivals_;
+  support::RateEstimator departures_;
   std::vector<std::pair<DesTime, std::size_t>> history_;
 };
 
@@ -123,7 +94,6 @@ class DesSource {
   void start();
   void set_rate(double r);
   double rate() const { return rate_; }
-  std::uint64_t emitted() const { return emitted_; }
   bool done() const { return emitted_ >= count_; }
 
  private:

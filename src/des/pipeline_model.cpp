@@ -1,5 +1,7 @@
 #include "des/pipeline_model.hpp"
 
+#include "am/vocabulary.hpp"
+
 #include <algorithm>
 #include <memory>
 
@@ -63,7 +65,7 @@ DesFig4Result run_fig4_model(const DesFig4Params& p) {
   bool pending_dec = false;
   am_f.on_violation = [&](const std::string& kind) {
     result.events.push_back({sim.now(), "AM_F", "raiseViol", 0.0});
-    const bool is_inc = kind == "notEnoughTasks_VIOL";
+    const bool is_inc = kind == am::payloads::kNotEnoughTasks;
     bool& pending = is_inc ? pending_inc : pending_dec;
     if (pending) return;
     pending = true;

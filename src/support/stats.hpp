@@ -1,12 +1,10 @@
 #pragma once
-// Online statistics used by sensors and managers.
-//
-// Managers observe streams of measurements (inter-arrival times, service
-// times, queue lengths) and need cheap incremental summaries: Welford
-// mean/variance, exponentially weighted moving averages, sliding-window
-// event-rate estimators, and fixed-bin histograms for percentile queries.
-// None of these classes are thread-safe by themselves; callers that share
-// them across threads wrap them (see rt::NodeStats).
+// Single-threaded online statistics: Welford mean/variance (OnlineStats),
+// a sliding-window event-rate estimator over explicit timestamps
+// (RateEstimator, the rate sensor of the DES farm model), and the population
+// variance behind QueueVarianceBean (rt::Farm). None of these is
+// thread-safe; the threaded farm's concurrent rate sensor is
+// obs::AtomicRateWindow.
 
 #include <algorithm>
 #include <cmath>
@@ -66,36 +64,11 @@ class OnlineStats {
   double max_ = 0.0;
 };
 
-/// Exponentially weighted moving average. alpha in (0,1]; larger alpha reacts
-/// faster. First sample initializes the average.
-class Ewma {
- public:
-  explicit Ewma(double alpha = 0.3) : alpha_(alpha) {}
-
-  void add(double x) {
-    if (!init_) {
-      v_ = x;
-      init_ = true;
-    } else {
-      v_ = alpha_ * x + (1.0 - alpha_) * v_;
-    }
-  }
-
-  bool initialized() const { return init_; }
-  double value() const { return init_ ? v_ : 0.0; }
-  void reset() { init_ = false; v_ = 0.0; }
-
- private:
-  double alpha_;
-  double v_ = 0.0;
-  bool init_ = false;
-};
-
-/// Sliding-window event-rate estimator over simulated time.
+/// Sliding-window event-rate estimator over explicit timestamps.
 ///
 /// record() stamps an event; rate() returns events/second over the last
-/// `window` simulated seconds. This is the sensor behind the paper's
-/// ArrivalRateBean / DepartureRateBean.
+/// `window` seconds. des::DesFarm feeds the paper's ArrivalRateBean /
+/// DepartureRateBean from two of these.
 class RateEstimator {
  public:
   explicit RateEstimator(SimDuration window = SimDuration(10.0))
@@ -106,8 +79,6 @@ class RateEstimator {
     evict(t);
   }
 
-  void record_now() { record(Clock::now()); }
-
   /// Events per simulated second over the trailing window ending at `now`.
   double rate(SimTime now) const {
     const SimTime lo = now - window_.count();
@@ -117,15 +88,7 @@ class RateEstimator {
     return window_.count() > 0 ? static_cast<double>(n) / window_.count() : 0.0;
   }
 
-  double rate_now() const { return rate(Clock::now()); }
-
   std::size_t total() const { return total_ + events_.size(); }
-  SimDuration window() const { return window_; }
-
-  void reset() {
-    events_.clear();
-    total_ = 0;
-  }
 
  private:
   void evict(SimTime now) {
@@ -139,56 +102,6 @@ class RateEstimator {
   SimDuration window_;
   std::deque<SimTime> events_;
   std::size_t total_ = 0;
-};
-
-/// Fixed-bin histogram over [lo, hi) with overflow/underflow bins, for
-/// percentile queries on service times.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins)
-      : lo_(lo), hi_(hi), bins_(bins ? bins : 1), counts_(bins_ + 2, 0) {}
-
-  void add(double x) {
-    ++n_;
-    if (x < lo_) {
-      ++counts_.front();
-    } else if (x >= hi_) {
-      ++counts_.back();
-    } else {
-      const auto b = static_cast<std::size_t>((x - lo_) / (hi_ - lo_) *
-                                              static_cast<double>(bins_));
-      ++counts_[1 + std::min(b, bins_ - 1)];
-    }
-  }
-
-  std::size_t count() const { return n_; }
-
-  /// Approximate p-quantile (p in [0,1]) as the upper edge of the bin where
-  /// the cumulative count crosses p*n. Returns lo()/hi() at the extremes.
-  double quantile(double p) const {
-    if (n_ == 0) return lo_;
-    const double target = p * static_cast<double>(n_);
-    double cum = 0.0;
-    for (std::size_t i = 0; i < counts_.size(); ++i) {
-      cum += static_cast<double>(counts_[i]);
-      if (cum >= target) {
-        if (i == 0) return lo_;
-        if (i == counts_.size() - 1) return hi_;
-        return lo_ + (hi_ - lo_) * static_cast<double>(i) /
-                         static_cast<double>(bins_);
-      }
-    }
-    return hi_;
-  }
-
-  double lo() const { return lo_; }
-  double hi() const { return hi_; }
-
- private:
-  double lo_, hi_;
-  std::size_t bins_;
-  std::vector<std::size_t> counts_;
-  std::size_t n_ = 0;
 };
 
 /// Population variance of a snapshot vector — used for the paper's

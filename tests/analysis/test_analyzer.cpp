@@ -218,28 +218,15 @@ TEST(Analyzer, JsonRoundtripContainsCheckNames) {
 
 TEST(Registry, MirrorsManagerVocabulary) {
   const Registry reg = default_registry();
-  // Every bean the monitor phase can assert must be registered — otherwise
-  // a valid program lints as unknown-bean (a false positive).
-  for (const char* b :
-       {am::beans::kArrivalRate, am::beans::kDepartureRate,
-        am::beans::kNumWorker, am::beans::kQueueVariance,
-        am::beans::kQueueVariancePaper, am::beans::kServiceTime,
-        am::beans::kLatency, am::beans::kQueuedTasks, am::beans::kStreamEnd,
-        am::beans::kUnsecuredLinks, am::beans::kWorkerFailure,
-        am::beans::kTotalFailures, am::beans::kFailedRecruits,
-        am::beans::kNodesJoined, am::beans::kNodesLeft,
-        am::beans::kClusterNodes})
-    EXPECT_TRUE(reg.known_bean(b)) << b;
-  // The membership escalation threshold seeded by the manager constructor.
-  EXPECT_TRUE(reg.known_constant("CLUSTER_MIN_NODES"));
+  for (const am::BeanDef& b : am::kBeans)
+    EXPECT_TRUE(reg.known_bean(b.name)) << b.name;
+  for (const char* o : am::kOperations)
+    EXPECT_TRUE(reg.known_operation(o)) << o;
+  for (const am::ConstantDef& c : am::kConstants)
+    EXPECT_TRUE(reg.known_constant(c.name)) << c.name;
   // Child-violation pulse beans match by prefix.
   EXPECT_TRUE(reg.known_bean(am::beans::child_violation("notEnoughTasks")));
-  // Every operation the default install registers.
-  for (const char* o :
-       {am::ops::kAddExecutor, am::ops::kRemoveExecutor, am::ops::kBalanceLoad,
-        am::ops::kRaiseViolation, am::ops::kSecureLinks,
-        am::ops::kDegradeContract})
-    EXPECT_TRUE(reg.known_operation(o)) << o;
+  EXPECT_FALSE(reg.known_bean(am::beans::kViolationPrefix));
   // The standard antagonism that drives conflict/oscillation proofs.
   bool has_add_remove = false;
   for (const auto& [a, b] : reg.conflicting_ops())

@@ -7,14 +7,6 @@
 namespace bsk::des {
 namespace {
 
-TEST(WindowRate, CountsWithinWindow) {
-  WindowRate w(10.0);
-  for (int i = 0; i < 10; ++i) w.record(100.0 + i);
-  EXPECT_DOUBLE_EQ(w.rate(110.0), 1.0);
-  EXPECT_DOUBLE_EQ(w.rate(130.0), 0.0);
-  EXPECT_EQ(w.total(), 10u);
-}
-
 TEST(DesFarm, SingleWorkerSerializesService) {
   Simulator sim;
   DesFarmParams p;

@@ -1,6 +1,6 @@
 // bsk-verify internals: the explorer on toy models, the gossip/resume
 // models at unit budgets, the scripted law scenarios against every seeded
-// defect, the CRDT law checker, and the registry<->cluster constant sync.
+// defect, and the CRDT law checker.
 
 #include <gtest/gtest.h>
 
@@ -8,16 +8,10 @@
 #include <string>
 #include <vector>
 
-#include "../am/fake_abc.hpp"
-#include "am/manager.hpp"
-#include "analysis/analyzer.hpp"
 #include "analysis/mc/crdt_check.hpp"
 #include "analysis/mc/explorer.hpp"
 #include "analysis/mc/gossip_model.hpp"
 #include "analysis/mc/resume_model.hpp"
-#include "analysis/registry.hpp"
-#include "cluster/node.hpp"
-#include "support/event_log.hpp"
 
 namespace bsk::analysis::mc {
 namespace {
@@ -158,35 +152,6 @@ TEST(CrdtLaws, HoldAcrossSeededCases) {
   const CrdtResult r = run_crdt_check(CrdtOptions{});
   EXPECT_TRUE(r.ok) << r.violation.property << ": " << r.violation.detail;
   EXPECT_GT(r.checks, 1000u);
-}
-
-// ------------------------------------------- registry <-> cluster sync
-
-TEST(RegistryClusterSync, ModelConstantsMatchClusterDefaults) {
-  const cluster::ClusterOptions o;
-  const rules::ConstantTable c = model_constants();
-  EXPECT_EQ(*c.get("CLUSTER_ROOT_FANOUT"), double(o.root_fanout));
-  EXPECT_EQ(*c.get("CLUSTER_SUSPECT_AFTER"), double(o.suspect_after));
-  EXPECT_EQ(*c.get("CLUSTER_SUSPECT_QUEUE"), double(o.suspect_queue));
-  EXPECT_EQ(*c.get("CLUSTER_DELTA_GOSSIP"), o.delta_gossip ? 1.0 : 0.0);
-  const Registry reg = default_registry();
-  for (const char* k : {"CLUSTER_ROOT_FANOUT", "CLUSTER_SUSPECT_AFTER",
-                        "CLUSTER_SUSPECT_QUEUE", "CLUSTER_DELTA_GOSSIP"})
-    EXPECT_TRUE(reg.known_constant(k)) << k;
-}
-
-TEST(RegistryClusterSync, ManagerSeedsMatchClusterDefaults) {
-  // The manager's literals must track the real ClusterOptions defaults —
-  // am cannot link bsk_cluster, so this test is the drift gate.
-  const cluster::ClusterOptions o;
-  am::testing::FakeAbc abc;
-  support::EventLog log;
-  am::AutonomicManager m("AM", abc, {}, &log);
-  const rules::ConstantTable c = m.constants_snapshot();
-  EXPECT_EQ(*c.get("CLUSTER_ROOT_FANOUT"), double(o.root_fanout));
-  EXPECT_EQ(*c.get("CLUSTER_SUSPECT_AFTER"), double(o.suspect_after));
-  EXPECT_EQ(*c.get("CLUSTER_SUSPECT_QUEUE"), double(o.suspect_queue));
-  EXPECT_EQ(*c.get("CLUSTER_DELTA_GOSSIP"), o.delta_gossip ? 1.0 : 0.0);
 }
 
 }  // namespace

@@ -28,17 +28,7 @@
 #include "net/epoll_server.hpp"
 #include "net/worker_pool.hpp"
 #include "obs/metrics.hpp"
-
-// Under TSan the per-connection shadow state is expensive; keep the soak
-// meaningful but smaller.
-#if defined(__has_feature)
-#if __has_feature(thread_sanitizer)
-#define BSK_TSAN 1
-#endif
-#endif
-#ifndef BSK_TSAN
-#define BSK_TSAN 0
-#endif
+#include "sanitizers.hpp"
 
 namespace bsk::net {
 namespace {
@@ -294,6 +284,8 @@ TEST(EpollServer, SurvivesChaosInjectedClient) {
 // from one client thread via poll(), against a server that is ONE loop
 // thread by construction. Every connection handshakes and echoes one frame.
 TEST(EpollServer, ManyConcurrentConnectionsOneLoopThread) {
+  // Under TSan the per-connection shadow state is expensive; keep the soak
+  // meaningful but smaller.
 #if BSK_TSAN
   const int kConns = 64;
 #else

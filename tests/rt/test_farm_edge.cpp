@@ -3,22 +3,8 @@
 #include <gtest/gtest.h>
 
 #include "rt/farm.hpp"
+#include "sanitizers.hpp"
 #include "support/clock.hpp"
-
-// Thread-lifecycle costs (spawn/join, sanitizer instrumentation) are real
-// time, so an aggressive virtual-clock scale multiplies them into virtual
-// seconds. Under TSan's ~10x slowdown the makespan sweep needs a gentler
-// scale or fixed startup overhead swamps the simulated work it measures.
-#if defined(__has_feature)
-#if __has_feature(thread_sanitizer)
-#define BSK_TSAN 1
-#endif
-#elif defined(__SANITIZE_THREAD__)
-#define BSK_TSAN 1
-#endif
-#ifndef BSK_TSAN
-#define BSK_TSAN 0
-#endif
 
 namespace bsk::rt {
 namespace {
@@ -189,6 +175,10 @@ TEST(FarmEdge, LargeStreamStress) {
 class SpeedupSweep : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(SpeedupSweep, MakespanBoundedByCapacity) {
+  // Thread-lifecycle costs (spawn/join, sanitizer instrumentation) are real
+  // time, so an aggressive virtual-clock scale multiplies them into virtual
+  // seconds. Under TSan's ~10x slowdown the makespan sweep needs a gentler
+  // scale or fixed startup overhead swamps the simulated work it measures.
   ScopedClockScale fast(BSK_TSAN ? 25.0 : 400.0);
   const std::size_t workers = GetParam();
   FarmConfig cfg;

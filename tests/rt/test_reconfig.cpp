@@ -52,7 +52,12 @@ TEST(FarmReconfig, AddWorkerWhileRunning) {
 }
 
 TEST(FarmReconfig, AddWorkerIncreasesThroughput) {
-  ScopedClockScale fast(200.0);
+  // Wall-clock stalls of the whole process (every sleep waking 10-50 ms
+  // late at once: under TSan, and in the normal build when the host steals
+  // CPU) pass for simulated time in which no worker ran. At scale 200 the
+  // 4 s rate window is 20 ms of wall time, so one stall could empty it; at
+  // 25 it is 160 ms.
+  ScopedClockScale fast(25.0);
   FarmConfig cfg;
   cfg.initial_workers = 1;
   cfg.rate_window = support::SimDuration(4.0);

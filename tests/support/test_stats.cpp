@@ -1,4 +1,4 @@
-// Online statistics: Welford, EWMA, rate estimation, histogram quantiles.
+// Online statistics: Welford, rate estimation, population variance.
 
 #include <gtest/gtest.h>
 
@@ -60,32 +60,12 @@ TEST(OnlineStats, MergeWithEmpty) {
   EXPECT_DOUBLE_EQ(empty.mean(), mean);
 }
 
-TEST(Ewma, FirstSampleInitializes) {
-  Ewma e(0.5);
-  EXPECT_FALSE(e.initialized());
-  e.add(10.0);
-  EXPECT_TRUE(e.initialized());
-  EXPECT_DOUBLE_EQ(e.value(), 10.0);
-}
-
-TEST(Ewma, ConvergesTowardConstant) {
-  Ewma e(0.3);
-  e.add(0.0);
-  for (int i = 0; i < 50; ++i) e.add(10.0);
-  EXPECT_NEAR(e.value(), 10.0, 1e-6);
-}
-
-TEST(Ewma, AlphaOneTracksExactly) {
-  Ewma e(1.0);
-  e.add(3.0);
-  e.add(7.0);
-  EXPECT_DOUBLE_EQ(e.value(), 7.0);
-}
-
 TEST(RateEstimator, CountsEventsInWindow) {
   RateEstimator r(SimDuration(10.0));
   for (int i = 0; i < 10; ++i) r.record(100.0 + i);  // 10 events
   EXPECT_DOUBLE_EQ(r.rate(110.0), 1.0);  // all within [100,110)
+  EXPECT_DOUBLE_EQ(r.rate(130.0), 0.0);  // window [120,130): none left
+  EXPECT_EQ(r.total(), 10u);
 }
 
 TEST(RateEstimator, OldEventsLeaveWindow) {
@@ -100,28 +80,6 @@ TEST(RateEstimator, TotalSurvivesEviction) {
   RateEstimator r(SimDuration(1.0));
   for (int i = 0; i < 100; ++i) r.record(static_cast<double>(i));
   EXPECT_EQ(r.total(), 100u);
-}
-
-TEST(Histogram, QuantilesOfUniformFill) {
-  Histogram h(0.0, 100.0, 100);
-  for (int i = 0; i < 100; ++i) h.add(i + 0.5);
-  EXPECT_NEAR(h.quantile(0.5), 50.0, 2.0);
-  EXPECT_NEAR(h.quantile(0.9), 90.0, 2.0);
-  EXPECT_NEAR(h.quantile(0.99), 99.0, 2.0);
-}
-
-TEST(Histogram, OverflowUnderflowBins) {
-  Histogram h(0.0, 10.0, 10);
-  h.add(-5.0);
-  h.add(100.0);
-  EXPECT_EQ(h.count(), 2u);
-  EXPECT_DOUBLE_EQ(h.quantile(0.25), h.lo());
-  EXPECT_DOUBLE_EQ(h.quantile(1.0), h.hi());
-}
-
-TEST(Histogram, EmptyQuantileIsLo) {
-  Histogram h(1.0, 2.0, 4);
-  EXPECT_DOUBLE_EQ(h.quantile(0.5), 1.0);
 }
 
 TEST(PopulationVariance, KnownValues) {
