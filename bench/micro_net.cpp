@@ -3,8 +3,8 @@
 // The wire and transport mechanisms behind distributed skeletons: frame
 // encode/decode throughput for task messages at several payload sizes, and
 // the one-task round-trip latency a RemoteConduit pays per process() call,
-// compared across the in-process (SPSC ring) and TCP loopback transports.
-// The Inproc-vs-Tcp gap is the price of crossing a real process boundary.
+// compared across the shared-memory ring and TCP loopback transports. The
+// Shm-vs-Tcp gap is what the shm negotiation buys a colocated worker.
 
 #include <benchmark/benchmark.h>
 
@@ -79,12 +79,6 @@ void round_trip_loop(benchmark::State& state, net::Transport& near,
   far.close();
 }
 
-void BM_InprocRoundTrip(benchmark::State& state) {
-  auto pair = net::InprocTransport::make_pair();
-  round_trip_loop(state, *pair.a, *pair.b);
-}
-BENCHMARK(BM_InprocRoundTrip)->Unit(benchmark::kMicrosecond);
-
 void BM_TcpLoopbackRoundTrip(benchmark::State& state) {
   net::TcpListener listener(0);
   if (!listener.valid()) {
@@ -147,12 +141,6 @@ void credit_window_loop(benchmark::State& state,
   node.on_stop();
   far->close();
 }
-
-void BM_InprocCreditThroughput(benchmark::State& state) {
-  auto pair = net::InprocTransport::make_pair();
-  credit_window_loop(state, pair.a, pair.b);
-}
-BENCHMARK(BM_InprocCreditThroughput)->Arg(1)->Arg(4)->Arg(16);
 
 void BM_TcpCreditThroughput(benchmark::State& state) {
   net::TcpListener listener(0);

@@ -1,7 +1,7 @@
 // Experiment E8 — runtime micro-costs (google-benchmark).
 //
-// The mechanisms behind the managers' actuators and sensors: channel and
-// SPSC transfer costs, rule-engine agenda cycles, .brl parsing, farm
+// The mechanisms behind the managers' actuators and sensors: channel
+// transfer costs, rule-engine agenda cycles, .brl parsing, farm
 // reconfiguration latency (the cost visible as the sensor blackout in
 // Fig. 4), and contract splitting.
 
@@ -14,7 +14,6 @@
 #include "rt/farm.hpp"
 #include "support/channel.hpp"
 #include "support/clock.hpp"
-#include "support/spsc_ring.hpp"
 #include "support/stats.hpp"
 
 namespace {
@@ -72,15 +71,6 @@ void BM_ChannelBatchTransfer(benchmark::State& state) {
   state.SetItemsProcessed(items);
 }
 BENCHMARK(BM_ChannelBatchTransfer)->Arg(1)->Arg(8)->Arg(64)->Arg(256);
-
-void BM_SpscPushPop(benchmark::State& state) {
-  support::SpscRing<int> q(1024);
-  for (auto _ : state) {
-    q.push(1);
-    benchmark::DoNotOptimize(q.pop());
-  }
-}
-BENCHMARK(BM_SpscPushPop);
 
 void BM_RateEstimatorRecord(benchmark::State& state) {
   support::RateEstimator r(support::SimDuration(10.0));

@@ -75,7 +75,7 @@ fi
   --benchmark_format=json "${EXTRA[@]}" \
   > "$TMPDIR_BENCH/runtime.json"
 "$NET_BIN" \
-  --benchmark_filter='BM_InprocRoundTrip|BM_TcpLoopbackRoundTrip|BM_ShmRoundTrip|BM_InprocCreditThroughput|BM_TcpCreditThroughput|BM_ShmCreditThroughput' \
+  --benchmark_filter='BM_TcpLoopbackRoundTrip|BM_ShmRoundTrip|BM_TcpCreditThroughput|BM_ShmCreditThroughput' \
   --benchmark_format=json "${EXTRA[@]}" \
   > "$TMPDIR_BENCH/net.json"
 
@@ -147,8 +147,6 @@ required = [
     "BM_ChannelBatchTransfer/1",
     "BM_ChannelBatchTransfer/64",
     "BM_FarmSteadyStateThroughput/4",
-    "BM_InprocCreditThroughput/1",
-    "BM_InprocCreditThroughput/4",
     "BM_TcpCreditThroughput/1",
     "BM_TcpCreditThroughput/4",
     "BM_TcpLoopbackRoundTrip",
@@ -172,9 +170,9 @@ summary = {
     "batched_transfer_speedup_vs_per_item":
         round(ips("BM_ChannelBatchTransfer/64") /
               max(ips("BM_ChannelBatchTransfer/1"), 1e-9), 2),
-    "inproc_credit4_speedup_vs_window1":
-        round(ips("BM_InprocCreditThroughput/4") /
-              max(ips("BM_InprocCreditThroughput/1"), 1e-9), 2),
+    "shm_credit4_speedup_vs_window1":
+        round(ips("BM_ShmCreditThroughput/4") /
+              max(ips("BM_ShmCreditThroughput/1"), 1e-9), 2),
     "tcp_credit4_speedup_vs_window1":
         round(ips("BM_TcpCreditThroughput/4") /
               max(ips("BM_TcpCreditThroughput/1"), 1e-9), 2),

@@ -2,14 +2,11 @@
 // EpollServer: one edge-triggered epoll loop serving every inbound wire-v2
 // connection — the C10K core that bskd and ClusterHost stand on.
 //
-// The previous daemon spent a thread per connection (accept → jthread →
-// blocking recv loop); at hundreds of connections the stacks and context
-// switches dominate. Here a single loop thread owns the listener and every
-// connection fd, registered edge-triggered (EPOLLIN|EPOLLOUT|EPOLLET|
-// EPOLLRDHUP): nonblocking accept4 drains the backlog, reads run until
-// EAGAIN through the per-connection FrameDecoder, and writes flush a
-// per-connection SendQueue via scatter/gather sendmsg with short-write
-// resume on the next EPOLLOUT edge.
+// A Reactor (net/reactor.hpp) owns the loop thread; the server adds the
+// listener and the connection table. Nonblocking accept4 drains the
+// backlog; every connection is a Link, so reads run until EAGAIN through
+// its FrameDecoder and writes flush its SendQueue with the same code the
+// TCP transport uses.
 //
 // Threading contract:
 //   - Handler callbacks (on_hello / on_frame / on_closed) run on the loop
@@ -30,10 +27,9 @@
 
 #include <atomic>
 #include <cstdint>
-#include <map>
 #include <memory>
-#include <thread>
 
+#include "net/reactor.hpp"
 #include "net/transport.hpp"
 #include "net/wire.hpp"
 #include "support/thread_annotations.hpp"
@@ -51,7 +47,7 @@ struct EpollOptions {
   double accept_backoff_wall_s = 0.05;
 };
 
-class EpollServer {
+class EpollServer : private Reactor {
  public:
   using ConnId = std::uint64_t;
 
@@ -66,12 +62,9 @@ class EpollServer {
   };
 
   EpollServer(Handler& handler, EpollOptions opts = {});
-  ~EpollServer();
+  ~EpollServer() override;
 
-  EpollServer(const EpollServer&) = delete;
-  EpollServer& operator=(const EpollServer&) = delete;
-
-  bool valid() const { return lfd_ >= 0 && epfd_ >= 0; }
+  bool valid() const { return lfd_ >= 0 && reactor_valid(); }
   std::uint16_t port() const { return port_; }
 
   /// Launch the loop thread. Deliberately separate from construction: the
@@ -112,45 +105,27 @@ class EpollServer {
   }
 
  private:
-  struct Conn {
-    int raw_fd = -1;  ///< loop-thread read path (stable until reap)
-    ConnId id = 0;
-    FrameDecoder decoder;      // loop thread only
-    bool got_hello = false;    // loop thread only
-    double opened_at = 0.0;    // loop thread only
-
-    support::Mutex mu{"EpollServer.Conn"};
-    SendQueue out BSK_GUARDED_BY(mu);
-    int fd BSK_GUARDED_BY(mu) = -1;  ///< -1 once reaped
-    bool want_close BSK_GUARDED_BY(mu) = false;
-    bool broken BSK_GUARDED_BY(mu) = false;  ///< writer saw a hard error
-    double close_deadline BSK_GUARDED_BY(mu) = -1.0;
+  struct Conn : Link {
+    Conn(int fd, std::size_t max_frame) : Link(fd, max_frame) {}
+    bool got_hello = false;  // loop thread only
+    double opened_at = 0.0;  // loop thread only
     // Heartbeat schedule (armed from any thread, driven by the timer pass).
     double hb_period BSK_GUARDED_BY(mu) = 0.0;
     double hb_next BSK_GUARDED_BY(mu) = 0.0;
     std::uint64_t hb_seq BSK_GUARDED_BY(mu) = 0;
   };
 
-  void loop(const std::stop_token& st);
+  void on_event(std::uint64_t tag, std::uint32_t events) override;
+  int on_tick(double now) override;
   void accept_ready();
   void read_ready(const std::shared_ptr<Conn>& conn);
-  void write_ready(const std::shared_ptr<Conn>& conn);
-  void timer_pass(double now);
   void reap(const std::shared_ptr<Conn>& conn);
-  bool flush_locked(Conn& conn) BSK_REQUIRES(conn.mu);
-  void wake();
   std::shared_ptr<Conn> find(ConnId c) const;
 
   Handler& handler_;
   EpollOptions opts_;
-  int epfd_ = -1;
   int lfd_ = -1;
-  int wakefd_ = -1;
   std::uint16_t port_ = 0;
-
-  mutable support::Mutex conns_mu_{"EpollServer.conns"};
-  std::map<ConnId, std::shared_ptr<Conn>> conns_ BSK_GUARDED_BY(conns_mu_);
-  ConnId next_id_ = 2;  ///< ids 0/1 tag the listener/wake fds in epoll data
 
   std::atomic<std::uint64_t> accepted_{0};
   std::atomic<std::uint64_t> accept_backoffs_{0};
@@ -159,8 +134,6 @@ class EpollServer {
   // and the log-once latch for the condition.
   double accept_backoff_until_ = 0.0;
   bool accept_backoff_logged_ = false;
-
-  std::jthread loop_;
 };
 
 }  // namespace bsk::net

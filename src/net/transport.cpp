@@ -6,16 +6,18 @@
 #include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
-#include <sys/uio.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
-#include <cstring>
+#include <optional>
+#include <thread>
 
+#include "net/reactor.hpp"
 #include "obs/metrics.hpp"
+#include "support/channel.hpp"
 #include "support/clock.hpp"
-#include "support/thread_name.hpp"
 
 namespace bsk::net {
 
@@ -28,15 +30,6 @@ struct NetObs {
       obs::counter("bsk_net_frames_sent_total", "frames written to the wire");
   obs::Counter& frames_received = obs::counter(
       "bsk_net_frames_received_total", "non-heartbeat frames decoded");
-  obs::Counter& bytes_sent =
-      obs::counter("bsk_net_bytes_sent_total", "payload bytes written (TCP)");
-  obs::Counter& bytes_received = obs::counter(
-      "bsk_net_bytes_received_total", "payload bytes read (TCP)");
-  obs::Counter& crc_errors = obs::counter(
-      "bsk_net_crc_errors_total", "frames dropped for checksum mismatch");
-  obs::Counter& decode_errors = obs::counter(
-      "bsk_net_decode_errors_total",
-      "connections killed by an unrecoverable framing error");
 };
 
 NetObs& net_obs() {
@@ -51,81 +44,6 @@ double wall_now() {
   return std::chrono::duration_cast<std::chrono::duration<double>>(
              std::chrono::steady_clock::now() - epoch)
       .count();
-}
-
-// --------------------------------------------------------------- sendqueue
-
-std::vector<std::uint8_t>& SendQueue::back_slab() {
-  if (slabs_.empty() || slabs_.back().data.size() >= kSlabBytes) {
-    Slab s;
-    if (!spares_.empty()) {
-      s.data = std::move(spares_.back());
-      spares_.pop_back();
-      s.data.clear();
-    } else {
-      s.data.reserve(kSlabBytes);
-    }
-    slabs_.push_back(std::move(s));
-  }
-  return slabs_.back().data;
-}
-
-void SendQueue::append_frame(const Frame& f) {
-  auto& slab = back_slab();
-  const std::size_t before = slab.size();
-  encode_frame_into(f, slab);
-  bytes_ += slab.size() - before;
-}
-
-void SendQueue::take_all(SendQueue& from) {
-  while (!from.slabs_.empty()) {
-    slabs_.push_back(std::move(from.slabs_.front()));
-    from.slabs_.pop_front();
-  }
-  bytes_ += from.bytes_;
-  from.bytes_ = 0;
-}
-
-void SendQueue::give_spares(SendQueue& to) {
-  while (!spares_.empty() && to.spares_.size() < kMaxSpares) {
-    to.spares_.push_back(std::move(spares_.back()));
-    spares_.pop_back();
-  }
-  spares_.clear();
-}
-
-std::size_t SendQueue::gather(iovec* iov, std::size_t max) const {
-  std::size_t n = 0;
-  for (const Slab& s : slabs_) {
-    if (n == max) break;
-    const std::size_t len = s.data.size() - s.off;
-    if (len == 0) continue;
-    iov[n].iov_base = const_cast<std::uint8_t*>(s.data.data() + s.off);
-    iov[n].iov_len = len;
-    ++n;
-  }
-  return n;
-}
-
-void SendQueue::consume(std::size_t n) {
-  bytes_ -= n;
-  while (n > 0) {
-    Slab& s = slabs_.front();
-    const std::size_t len = s.data.size() - s.off;
-    if (n < len) {
-      s.off += n;
-      return;
-    }
-    n -= len;
-    if (spares_.size() < kMaxSpares) spares_.push_back(std::move(s.data));
-    slabs_.pop_front();
-  }
-}
-
-void SendQueue::clear() {
-  slabs_.clear();
-  spares_.clear();
-  bytes_ = 0;
 }
 
 // --------------------------------------------------------------- transport
@@ -146,85 +64,6 @@ bool Transport::send_serialized(FrameType type, std::size_t n,
   return send_many(fs.data(), n);
 }
 
-// ------------------------------------------------------------------ inproc
-
-InprocTransport::Pair InprocTransport::make_pair(std::size_t capacity) {
-  auto q1 = std::make_shared<Queue>(capacity);
-  auto q2 = std::make_shared<Queue>(capacity);
-  Pair p;
-  p.a = std::shared_ptr<InprocTransport>(new InprocTransport(q1, q2));
-  p.b = std::shared_ptr<InprocTransport>(new InprocTransport(q2, q1));
-  return p;
-}
-
-bool InprocTransport::send(const Frame& f) {
-  for (;;) {
-    if (out_->closed.load(std::memory_order_acquire) ||
-        in_->closed.load(std::memory_order_acquire))
-      return false;
-    // Serialize producers: the ring itself is strictly single-producer.
-    while (out_->producer_lock.test_and_set(std::memory_order_acquire))
-      std::this_thread::yield();
-    const bool pushed = !out_->closed.load(std::memory_order_acquire) &&
-                        out_->ring.push(f);
-    out_->producer_lock.clear(std::memory_order_release);
-    if (pushed) {
-      frames_sent_.fetch_add(1, std::memory_order_relaxed);
-      net_obs().frames_sent.inc();
-      return true;
-    }
-    if (out_->closed.load(std::memory_order_acquire)) return false;
-    std::this_thread::sleep_for(std::chrono::microseconds(20));  // ring full
-  }
-}
-
-RecvStatus InprocTransport::recv_until(Frame& out, bool bounded,
-                                       double wall_seconds) {
-  const double deadline = wall_now() + wall_seconds;
-  for (;;) {
-    if (auto f = in_->ring.pop()) {
-      if (f->type == FrameType::Heartbeat) {
-        heartbeats_.fetch_add(1, std::memory_order_relaxed);
-        continue;
-      }
-      out = std::move(*f);
-      frames_received_.fetch_add(1, std::memory_order_relaxed);
-      net_obs().frames_received.inc();
-      return RecvStatus::Ok;
-    }
-    if (in_->closed.load(std::memory_order_acquire) && in_->ring.empty())
-      return RecvStatus::Closed;
-    if (bounded && wall_now() >= deadline) return RecvStatus::TimedOut;
-    std::this_thread::sleep_for(std::chrono::microseconds(50));
-  }
-}
-
-RecvStatus InprocTransport::recv(Frame& out) {
-  return recv_until(out, /*bounded=*/false, 0.0);
-}
-
-RecvStatus InprocTransport::recv_for(Frame& out, double wall_seconds) {
-  return recv_until(out, /*bounded=*/true, wall_seconds);
-}
-
-void InprocTransport::close() {
-  out_->closed.store(true, std::memory_order_release);
-  in_->closed.store(true, std::memory_order_release);
-}
-
-bool InprocTransport::closed() const {
-  return out_->closed.load(std::memory_order_acquire) ||
-         in_->closed.load(std::memory_order_acquire);
-}
-
-TransportStats InprocTransport::stats() const {
-  TransportStats s;
-  s.frames_sent = frames_sent_.load();
-  s.frames_received = frames_received_.load();
-  s.heartbeats_seen = heartbeats_.load();
-  return s;
-}
-
 // --------------------------------------------------------------------- tcp
 
 namespace {
@@ -236,23 +75,162 @@ void set_nonblock(int fd) {
 
 }  // namespace
 
-TcpTransport::TcpTransport(int fd, TcpOptions opts)
-    : fd_(fd),
-      opts_(opts),
-      decoder_(opts.max_frame),
-      inbound_(opts.inbound_capacity) {
-  last_rx_wall_.store(wall_now());
-  set_nonblock(fd_);
-  int one = 1;
-  ::setsockopt(fd_, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
-  if (::pipe(wake_pipe_) == 0) {
-    set_nonblock(wake_pipe_[0]);
-    set_nonblock(wake_pipe_[1]);
+/// One TcpTransport's connection, shared by the transport and the loop so
+/// the loop never touches a destroyed transport.
+struct TcpConn : Link {
+  TcpConn(int fd, const TcpOptions& o)
+      : Link(fd, o.max_frame), inbound(o.inbound_capacity) {}
+
+  support::Channel<Frame> inbound;
+  std::optional<Frame> stalled;     ///< loop thread only: refused by inbound
+  std::atomic<bool> paused{false};  ///< reads stopped until recv makes room
+  std::atomic<bool> closed{false};
+  std::atomic<DecodeError> decode_error{DecodeError::None};
+  std::atomic<std::uint64_t> frames_sent{0};
+  std::atomic<std::uint64_t> frames_received{0};
+  std::atomic<std::uint64_t> heartbeats{0};
+
+  /// The connection is over: recv drains what was parsed, then Closed.
+  void end() {
+    closed.store(true, std::memory_order_release);
+    inbound.close();
   }
-  io_ = std::jthread([this] {
-    support::set_thread_name("tcp-io");
-    io_loop();
-  });
+};
+
+/// The loop every TcpTransport of the process registers on. The first
+/// transport starts it; the last one to go joins it once every closing
+/// connection has flushed or spent its grace. The loop runs no user code,
+/// so it never drops the last reference itself.
+class TcpReactor final : public Reactor {
+ public:
+  static std::shared_ptr<TcpReactor> acquire() {
+    static support::Mutex mu{"TcpReactor.instance"};
+    static std::weak_ptr<TcpReactor> current;
+    support::MutexLock lk(mu);
+    auto r = current.lock();
+    if (!r) {
+      r = std::make_shared<TcpReactor>();
+      current = r;
+    }
+    return r;
+  }
+
+  TcpReactor() { start_loop("tcp-loop"); }
+  ~TcpReactor() override { stop_loop(); }
+
+  void add(const std::shared_ptr<TcpConn>& c) {
+    if (!attach(c)) c->end();
+  }
+
+  /// Any thread: have the loop look at `c` (close() began, or recv made
+  /// room in a full inbound queue).
+  void poke(const std::shared_ptr<TcpConn>& c) {
+    {
+      support::MutexLock lk(mu_);
+      pokes_.push_back(c);
+    }
+    wake();
+  }
+
+ private:
+  void on_event(std::uint64_t tag, std::uint32_t events) override {
+    auto c = std::static_pointer_cast<TcpConn>(link(tag));
+    if (!c) return;  // reaped earlier in this batch
+    if ((events & EPOLLOUT) && c->on_writable())
+      reap(*c);
+    else if (events & (EPOLLIN | EPOLLRDHUP | EPOLLHUP | EPOLLERR))
+      read(*c);
+  }
+
+  int on_tick(double now) override {
+    std::vector<std::shared_ptr<TcpConn>> pokes;
+    {
+      support::MutexLock lk(mu_);
+      pokes.swap(pokes_);
+    }
+    for (auto& c : pokes) {
+      read(*c);
+      if (std::find(closing_.begin(), closing_.end(), c) == closing_.end())
+        closing_.push_back(std::move(c));
+    }
+    std::erase_if(closing_, [&](const std::shared_ptr<TcpConn>& c) {
+      {
+        support::MutexLock lk(c->mu);
+        if (c->fd < 0 || !c->want_close) return true;  // gone, or a recv poke
+        c->flush_locked();
+        if (!c->done_locked(now)) return false;  // flushing inside the grace
+      }
+      reap(*c);
+      return true;
+    });
+    return closing_.empty() ? -1 : 10;
+  }
+
+  bool drained() override { return link_count() == 0; }
+
+  /// Deliver decoded frames into the inbound queue until the socket runs
+  /// dry or the queue fills; a full queue parks the connection (no further
+  /// reads) until recv pokes it.
+  void read(TcpConn& c) {
+    if (c.reaped()) return;
+    if (c.stalled) {
+      Frame f = std::move(*c.stalled);
+      c.stalled.reset();
+      if (!deliver(c, f)) return;
+    }
+    const auto end = c.read([&](Frame& f) {
+      if (f.type == FrameType::Heartbeat) {
+        c.heartbeats.fetch_add(1, std::memory_order_relaxed);
+        return true;
+      }
+      // Counted before it is queued: a recv that pops it sees it counted.
+      c.frames_received.fetch_add(1, std::memory_order_relaxed);
+      net_obs().frames_received.inc();
+      return deliver(c, f);
+    });
+    if (end == Link::ReadEnd::Closed) {
+      c.decode_error.store(c.decoder.error(), std::memory_order_relaxed);
+      reap(c);
+    }
+  }
+
+  /// Queue `f` for recv. False when the queue is full: `f` is parked in
+  /// `stalled` and so is the connection.
+  static bool deliver(TcpConn& c, Frame& f) {
+    auto st = c.inbound.push_for(f, support::SimDuration(0));
+    if (st == support::ChannelStatus::TimedOut) {  // full
+      // Flag, then try once more: a recv that frees space after this
+      // second try fails is ordered after it by the queue's mutex, so it
+      // sees the flag and pokes the loop.
+      c.paused.store(true);
+      st = c.inbound.push_for(f, support::SimDuration(0));
+      if (st == support::ChannelStatus::TimedOut) {
+        c.stalled = std::move(f);
+        return false;
+      }
+      c.paused.store(false);
+    }
+    return true;  // queued, or Closed: nobody will recv it
+  }
+
+  void reap(TcpConn& c) {
+    if (!detach(c)) return;
+    c.end();
+    if (link_count() == 0) wake();  // a stopping loop exits once drained
+  }
+
+  support::Mutex mu_{"TcpReactor.pokes"};
+  std::vector<std::shared_ptr<TcpConn>> pokes_ BSK_GUARDED_BY(mu_);
+  std::vector<std::shared_ptr<TcpConn>> closing_;  // loop thread only
+};
+
+TcpTransport::TcpTransport(int fd, TcpOptions opts)
+    : reactor_(TcpReactor::acquire()),
+      conn_(std::make_shared<TcpConn>(fd, opts)) {
+  set_nonblock(fd);
+  int one = 1;
+  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
+  reactor_->add(conn_);
 }
 
 std::unique_ptr<TcpTransport> TcpTransport::connect(const std::string& host,
@@ -292,201 +270,55 @@ std::unique_ptr<TcpTransport> TcpTransport::connect(const std::string& host,
   return nullptr;
 }
 
-TcpTransport::~TcpTransport() {
-  close();
-  if (io_.joinable()) io_.join();
-  if (wake_pipe_[0] >= 0) ::close(wake_pipe_[0]);
-  if (wake_pipe_[1] >= 0) ::close(wake_pipe_[1]);
-}
+TcpTransport::~TcpTransport() { close(); }
 
-void TcpTransport::wake() {
-  if (wake_pipe_[1] >= 0) {
-    const char c = 1;
-    [[maybe_unused]] const ssize_t n = ::write(wake_pipe_[1], &c, 1);
+template <typename Encode>
+bool TcpTransport::enqueue(std::size_t n, Encode&& encode) {
+  if (conn_->closed.load(std::memory_order_acquire)) return false;
+  if (n == 0) return true;
+  if (!conn_->enqueue(encode)) {
+    conn_->end();  // closing, reaped, or the flush hit a hard error
+    return false;
   }
+  conn_->frames_sent.fetch_add(n, std::memory_order_relaxed);
+  net_obs().frames_sent.inc(n);
+  return true;
 }
 
-void TcpTransport::shutdown_fd() {
-  if (fd_ >= 0) {
-    ::shutdown(fd_, SHUT_RDWR);
-    ::close(fd_);
-    fd_ = -1;
-  }
-}
-
-bool TcpTransport::send(const Frame& f) {
-  return send_many(&f, 1);
-}
+bool TcpTransport::send(const Frame& f) { return send_many(&f, 1); }
 
 bool TcpTransport::send_many(const Frame* fs, std::size_t n) {
-  if (n == 0) return !closed_.load(std::memory_order_acquire);
-  if (closed_.load(std::memory_order_acquire)) return false;
-  {
-    // Encode the whole batch straight into the send-queue slabs: one lock,
-    // one wake, one (or few) kernel writes — the wire face of the
-    // dataplane's credit-window pipelining.
-    support::MutexLock lk(out_mu_);
-    if (closed_.load(std::memory_order_acquire)) return false;
-    for (std::size_t i = 0; i < n; ++i) outq_.append_frame(fs[i]);
-  }
-  frames_sent_.fetch_add(n, std::memory_order_relaxed);
-  net_obs().frames_sent.inc(n);
-  wake();
-  return true;
+  // The whole batch is encoded into the send slabs under one lock and
+  // leaves in one flush — the wire face of the credit-window pipelining.
+  return enqueue(n, [&](SendQueue& q) {
+    for (std::size_t i = 0; i < n; ++i) q.append_frame(fs[i]);
+  });
 }
 
 bool TcpTransport::send_serialized(FrameType type, std::size_t n,
                                    const SerializeFn& emit) {
-  if (n == 0) return !closed_.load(std::memory_order_acquire);
-  if (closed_.load(std::memory_order_acquire)) return false;
-  {
-    // Zero-copy path: serializers write straight into the send slabs — no
-    // Frame, no payload vector, no per-frame allocation once slabs warm up.
-    support::MutexLock lk(out_mu_);
-    if (closed_.load(std::memory_order_acquire)) return false;
+  // Zero-copy path: serializers write straight into the send slabs — no
+  // Frame, no payload vector, no per-frame allocation once slabs warm up.
+  return enqueue(n, [&](SendQueue& q) {
     for (std::size_t i = 0; i < n; ++i)
-      outq_.build_frame(type, [&](wire::Writer& w) { emit(i, w); });
-  }
-  frames_sent_.fetch_add(n, std::memory_order_relaxed);
-  net_obs().frames_sent.inc(n);
-  wake();
-  return true;
-}
-
-void TcpTransport::io_loop() {
-  // Private send queue: slabs are swapped out of outq_ under the lock, the
-  // gather-write below runs lock-free, and drained slab storage is donated
-  // back so steady-state sending allocates nothing.
-  SendQueue pending;
-  std::uint8_t rbuf[64 * 1024];
-  double closing_since = -1.0;
-  bool dead = false;
-
-  while (!dead) {
-    bool want_write;
-    {
-      support::MutexLock lk(out_mu_);
-      if (pending.empty()) {
-        pending.give_spares(outq_);
-        if (!outq_.empty()) pending.take_all(outq_);
-      }
-      want_write = !pending.empty();
-    }
-
-    if (closed_.load(std::memory_order_acquire)) {
-      if (!want_write) break;  // flushed: orderly shutdown
-      if (closing_since < 0.0)
-        closing_since = wall_now();
-      else if (wall_now() - closing_since > 1.0)
-        break;  // peer not draining; give up on the tail
-    }
-
-    pollfd fds[2] = {
-        {fd_, static_cast<short>(POLLIN | (want_write ? POLLOUT : 0)), 0},
-        {wake_pipe_[0], POLLIN, 0},
-    };
-    const int rc = ::poll(fds, 2, 100);
-    if (rc < 0) {
-      if (errno == EINTR) continue;
-      break;
-    }
-
-    if (fds[1].revents & POLLIN) {
-      char drain[64];
-      while (::read(wake_pipe_[0], drain, sizeof drain) > 0) {
-      }
-    }
-
-    if (fds[0].revents & (POLLIN | POLLHUP | POLLERR)) {
-      for (;;) {
-        const ssize_t n = ::read(fd_, rbuf, sizeof rbuf);
-        if (n > 0) {
-          bytes_received_.fetch_add(static_cast<std::uint64_t>(n),
-                                    std::memory_order_relaxed);
-          net_obs().bytes_received.inc(static_cast<std::uint64_t>(n));
-          last_rx_wall_.store(wall_now(), std::memory_order_relaxed);
-          decoder_.feed(rbuf, static_cast<std::size_t>(n));
-          while (auto f = decoder_.next()) {
-            if (f->type == FrameType::Heartbeat) {
-              heartbeats_.fetch_add(1, std::memory_order_relaxed);
-              continue;
-            }
-            frames_received_.fetch_add(1, std::memory_order_relaxed);
-            net_obs().frames_received.inc();
-            if (!inbound_.push(std::move(*f))) {
-              dead = true;  // closed locally while we blocked
-              break;
-            }
-          }
-          if (decoder_.error() != DecodeError::None) {
-            decode_error_.store(decoder_.error(), std::memory_order_relaxed);
-            if (decoder_.error() == DecodeError::BadCrc)
-              net_obs().crc_errors.inc();
-            net_obs().decode_errors.inc();
-            dead = true;  // corrupt stream: framing is untrustworthy
-          }
-          if (dead) break;
-          continue;
-        }
-        if (n == 0) {  // EOF: peer closed
-          dead = true;
-          break;
-        }
-        if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-        if (errno == EINTR) continue;
-        dead = true;  // hard socket error
-        break;
-      }
-    }
-
-    if (!dead && want_write && (fds[0].revents & POLLOUT)) {
-      // Scatter/gather flush: one sendmsg over every queued slab span.
-      // (sendmsg, not writev — only sendmsg takes MSG_NOSIGNAL, and a peer
-      // that vanished mid-write must surface as EPIPE here, never as a
-      // process-killing SIGPIPE.) A short write consumes exactly what the
-      // kernel accepted and the next POLLOUT resumes mid-span; EINTR
-      // retries on the spot.
-      for (;;) {
-        iovec iov[SendQueue::kMaxIov];
-        const std::size_t cnt = pending.gather(iov, SendQueue::kMaxIov);
-        if (cnt == 0) break;
-        std::size_t gathered = 0;
-        for (std::size_t i = 0; i < cnt; ++i) gathered += iov[i].iov_len;
-        msghdr msg{};
-        msg.msg_iov = iov;
-        msg.msg_iovlen = cnt;
-        const ssize_t n = ::sendmsg(fd_, &msg, MSG_NOSIGNAL);
-        if (n > 0) {
-          pending.consume(static_cast<std::size_t>(n));
-          bytes_sent_.fetch_add(static_cast<std::uint64_t>(n),
-                                std::memory_order_relaxed);
-          net_obs().bytes_sent.inc(static_cast<std::uint64_t>(n));
-          if (static_cast<std::size_t>(n) < gathered)
-            break;   // short write: wait for the next POLLOUT
-          continue;  // more slabs than iovecs: keep flushing
-        }
-        if (n < 0 && errno == EINTR) continue;
-        if (n < 0 && errno != EAGAIN && errno != EWOULDBLOCK) dead = true;
-        break;
-      }
-    }
-  }
-
-  closed_.store(true, std::memory_order_release);
-  inbound_.close();  // consumers drain parsed frames, then see Closed
-  shutdown_fd();
+      q.build_frame(type, [&](wire::Writer& w) { emit(i, w); });
+  });
 }
 
 RecvStatus TcpTransport::recv(Frame& out) {
-  return inbound_.pop(out) == support::ChannelStatus::Ok ? RecvStatus::Ok
-                                                         : RecvStatus::Closed;
+  const auto st = conn_->inbound.pop(out);
+  made_room();
+  return st == support::ChannelStatus::Ok ? RecvStatus::Ok
+                                          : RecvStatus::Closed;
 }
 
 RecvStatus TcpTransport::recv_for(Frame& out, double wall_seconds) {
   // Channel timeouts are simulated-time; scale so the wait is wall time.
   const auto d =
       support::SimDuration(wall_seconds * support::Clock::scale());
-  switch (inbound_.pop_for(out, d)) {
+  const auto st = conn_->inbound.pop_for(out, d);
+  made_room();
+  switch (st) {
     case support::ChannelStatus::Ok:
       return RecvStatus::Ok;
     case support::ChannelStatus::Closed:
@@ -497,28 +329,38 @@ RecvStatus TcpTransport::recv_for(Frame& out, double wall_seconds) {
   return RecvStatus::TimedOut;
 }
 
+void TcpTransport::made_room() {
+  if (conn_->paused.load(std::memory_order_acquire) &&
+      conn_->paused.exchange(false))
+    reactor_->poke(conn_);  // re-arm the reads a full queue paused
+}
+
 void TcpTransport::close() {
-  closed_.store(true, std::memory_order_release);
-  inbound_.close();
-  wake();
+  conn_->end();
+  // The loop reaps once flushed or out of grace.
+  if (conn_->begin_close()) reactor_->poke(conn_);
 }
 
 bool TcpTransport::closed() const {
-  return closed_.load(std::memory_order_acquire);
+  return conn_->closed.load(std::memory_order_acquire);
 }
 
 double TcpTransport::idle_seconds() const {
-  return wall_now() - last_rx_wall_.load(std::memory_order_relaxed);
+  return wall_now() - conn_->last_rx_wall.load(std::memory_order_relaxed);
 }
 
 TransportStats TcpTransport::stats() const {
   TransportStats s;
-  s.frames_sent = frames_sent_.load();
-  s.frames_received = frames_received_.load();
-  s.bytes_sent = bytes_sent_.load();
-  s.bytes_received = bytes_received_.load();
-  s.heartbeats_seen = heartbeats_.load();
+  s.frames_sent = conn_->frames_sent.load();
+  s.frames_received = conn_->frames_received.load();
+  s.bytes_sent = conn_->bytes_sent.load();
+  s.bytes_received = conn_->bytes_received.load();
+  s.heartbeats_seen = conn_->heartbeats.load();
   return s;
+}
+
+DecodeError TcpTransport::decode_error() const {
+  return conn_->decode_error.load(std::memory_order_relaxed);
 }
 
 // ---------------------------------------------------------------- listener

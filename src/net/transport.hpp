@@ -3,17 +3,16 @@
 //
 // A Transport is one end of an established connection. Two backends:
 //
-//   InprocTransport — a lock-free SPSC ring pair between two endpoints in
-//     the same process. No syscalls, no timers: existing tests and benches
-//     stay fast and deterministic while exercising the exact frame protocol
-//     the TCP backend speaks.
+//   ShmTransport (net/shm.hpp) — a shared-memory ring pair: the colocated
+//     fast path, and, over an anonymous mapping (make_pair), the in-process
+//     transport of tests and benches.
 //
-//   TcpTransport — a real loopback/LAN socket. A dedicated I/O thread runs
-//     a poll()-based event loop over the socket and a self-pipe (so send()
-//     wakes the loop immediately instead of waiting out a poll tick),
-//     drains a per-connection send queue, and re-frames the inbound byte
-//     stream into a bounded Channel<Frame>. connect() takes a timeout and a
-//     bounded retry budget.
+//   TcpTransport — a real loopback/LAN socket. Every TcpTransport of a
+//     process is registered on one shared epoll loop thread (the Reactor,
+//     net/reactor.hpp), which re-frames the inbound byte stream into a
+//     bounded Channel<Frame>; send() encodes into the connection's send
+//     queue and flushes on the caller's thread. connect() takes a timeout
+//     and a bounded retry budget.
 //
 // Timeouts on the transport API are *wall* seconds: liveness and I/O pacing
 // are properties of the real machine, not of the simulated clock. (Code
@@ -25,89 +24,15 @@
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <string>
-#include <thread>
-#include <vector>
 
-#include "support/channel.hpp"
-#include "support/thread_annotations.hpp"
-#include "support/spsc_ring.hpp"
 #include "net/wire.hpp"
-
-struct iovec;  // <sys/uio.h>; SendQueue::gather fills these
 
 namespace bsk::net {
 
 enum class RecvStatus { Ok, Closed, TimedOut };
-
-// --------------------------------------------------------------- sendqueue
-
-/// Slab-chained send buffer shared by the scatter/gather senders (the TCP
-/// transport's I/O thread, the epoll server's per-connection state).
-/// Writers serialize frames *directly* into the back slab — zero
-/// intermediate Frame, zero per-frame heap traffic once the slab pool is
-/// warm — and the flusher gathers the front slabs into an iovec array for
-/// one sendmsg(), consuming exactly what the kernel accepted so short
-/// writes resume where they stopped.
-///
-/// Not internally synchronized: the owner serializes access with its own
-/// send mutex (TcpTransport::out_mu_, EpollServer's per-conn mutex). The
-/// take_all/give_spares pair supports the swap pattern: the I/O thread
-/// moves every queued slab into a private queue under the lock, writes to
-/// the socket lock-free, then donates the drained slab storage back.
-class SendQueue {
- public:
-  static constexpr std::size_t kSlabBytes = 64 * 1024;
-  static constexpr std::size_t kMaxIov = 16;
-  static constexpr std::size_t kMaxSpares = 4;
-
-  bool empty() const { return bytes_ == 0; }
-  std::size_t bytes() const { return bytes_; }
-
-  /// Serialize one frame into the back slab via build_frame_into. Returns
-  /// the encoded size.
-  template <typename EmitFn>
-  std::size_t build_frame(FrameType type, EmitFn&& emit) {
-    const std::size_t n =
-        build_frame_into(back_slab(), type, std::forward<EmitFn>(emit));
-    bytes_ += n;
-    return n;
-  }
-
-  /// Append an already-materialized frame's wire bytes.
-  void append_frame(const Frame& f);
-
-  /// Move every queued slab from `from` onto the back of this queue.
-  void take_all(SendQueue& from);
-
-  /// Donate this queue's spare slab storage to `to` (recycle drained slabs
-  /// back to the writer side).
-  void give_spares(SendQueue& to);
-
-  /// Fill up to `max` iovecs with the unconsumed front spans. Returns the
-  /// count. The spans stay valid until the next mutating call.
-  std::size_t gather(iovec* iov, std::size_t max) const;
-
-  /// Drop `n` bytes from the front (what the kernel accepted).
-  void consume(std::size_t n);
-
-  void clear();
-
- private:
-  struct Slab {
-    std::vector<std::uint8_t> data;
-    std::size_t off = 0;  // consumed prefix
-  };
-
-  std::vector<std::uint8_t>& back_slab();
-
-  std::deque<Slab> slabs_;
-  std::vector<std::vector<std::uint8_t>> spares_;
-  std::size_t bytes_ = 0;
-};
 
 struct TransportStats {
   std::uint64_t frames_sent = 0;
@@ -127,8 +52,8 @@ class Transport {
 
   /// Enqueue `n` frames as one batch (writev-style coalescing: the TCP
   /// backend encodes the whole batch into its send buffer under a single
-  /// lock and wakes its I/O thread once, so the frames leave in as few
-  /// segments as the kernel allows). Default: send() per frame. Returns
+  /// lock and flushes once, so the frames leave in as few segments as the
+  /// kernel allows). Default: send() per frame. Returns
   /// false once the connection is closed; frames before the failure may
   /// still be delivered.
   virtual bool send_many(const Frame* fs, std::size_t n) {
@@ -175,51 +100,6 @@ class Transport {
   std::atomic<bool> secured_{false};
 };
 
-// ------------------------------------------------------------------ inproc
-
-/// In-process transport: each direction is a lock-free SPSC ring. Sends
-/// from multiple threads are serialized by a tiny spinlock on the producer
-/// side (the ring itself stays single-producer); receive is single-consumer
-/// by contract, matching how every conduit/ABC consumer is structured.
-class InprocTransport final : public Transport {
- public:
-  struct Pair {
-    std::shared_ptr<InprocTransport> a;
-    std::shared_ptr<InprocTransport> b;
-  };
-
-  /// Create a connected endpoint pair with the given per-direction queue
-  /// capacity (rounded up to a power of two).
-  static Pair make_pair(std::size_t capacity = 1024);
-
-  bool send(const Frame& f) override;
-  RecvStatus recv(Frame& out) override;
-  RecvStatus recv_for(Frame& out, double wall_seconds) override;
-  void close() override;
-  bool closed() const override;
-  double idle_seconds() const override { return 0.0; }
-  TransportStats stats() const override;
-
- private:
-  struct Queue {
-    explicit Queue(std::size_t cap) : ring(cap) {}
-    support::SpscRing<Frame> ring;
-    std::atomic_flag producer_lock = ATOMIC_FLAG_INIT;
-    std::atomic<bool> closed{false};
-  };
-
-  InprocTransport(std::shared_ptr<Queue> out, std::shared_ptr<Queue> in)
-      : out_(std::move(out)), in_(std::move(in)) {}
-
-  RecvStatus recv_until(Frame& out, bool bounded, double wall_seconds);
-
-  std::shared_ptr<Queue> out_;
-  std::shared_ptr<Queue> in_;
-  std::atomic<std::uint64_t> frames_sent_{0};
-  std::atomic<std::uint64_t> frames_received_{0};
-  std::atomic<std::uint64_t> heartbeats_{0};
-};
-
 // --------------------------------------------------------------------- tcp
 
 struct TcpOptions {
@@ -227,8 +107,14 @@ struct TcpOptions {
   int connect_retries = 10;        ///< bounded retry budget
   double retry_backoff_s = 0.05;   ///< pause between attempts, wall seconds
   std::size_t max_frame = kDefaultMaxFrame;
-  std::size_t inbound_capacity = 4096;  ///< parsed-frame queue depth
+  /// Parsed-frame queue depth. When it is full the loop stops reading this
+  /// connection (kernel flow control pushes back on the peer) until recv()
+  /// makes room; other connections on the loop are unaffected.
+  std::size_t inbound_capacity = 4096;
 };
+
+class TcpReactor;
+struct TcpConn;
 
 class TcpTransport final : public Transport {
  public:
@@ -256,35 +142,15 @@ class TcpTransport final : public Transport {
 
   /// Why the inbound stream died, if it died to corruption (None while the
   /// connection is healthy or was closed cleanly).
-  DecodeError decode_error() const {
-    return decode_error_.load(std::memory_order_relaxed);
-  }
+  DecodeError decode_error() const;
 
  private:
-  void io_loop();
-  void wake();
-  void shutdown_fd();
+  template <typename Encode>
+  bool enqueue(std::size_t n, Encode&& encode);
+  void made_room();
 
-  int fd_ = -1;
-  int wake_pipe_[2] = {-1, -1};
-  TcpOptions opts_;
-
-  support::Mutex out_mu_{"TcpTransport.send"};
-  SendQueue outq_ BSK_GUARDED_BY(out_mu_);
-
-  FrameDecoder decoder_;
-  support::Channel<Frame> inbound_;
-
-  std::atomic<bool> closed_{false};
-  std::atomic<DecodeError> decode_error_{DecodeError::None};
-  std::atomic<double> last_rx_wall_{0.0};
-  std::atomic<std::uint64_t> frames_sent_{0};
-  std::atomic<std::uint64_t> frames_received_{0};
-  std::atomic<std::uint64_t> bytes_sent_{0};
-  std::atomic<std::uint64_t> bytes_received_{0};
-  std::atomic<std::uint64_t> heartbeats_{0};
-
-  std::jthread io_;
+  std::shared_ptr<TcpReactor> reactor_;
+  std::shared_ptr<TcpConn> conn_;
 };
 
 /// Listening socket. Port 0 binds an ephemeral port, readable via port().

@@ -30,8 +30,6 @@ class NodeMetrics {
 
   void record_service_time(double s) { service_.add(s); }
 
-  void record_latency(double s) { latency_.add(s); }
-
   /// Tasks/second entering the skeleton over the trailing window — the
   /// paper's ArrivalRateBean ("input pressure").
   double arrival_rate() const { return arrivals_.rate(support::Clock::now()); }
@@ -53,27 +51,17 @@ class NodeMetrics {
   /// Mean observed per-task service time (seconds).
   double mean_service_time() const { return service_.mean(); }
 
-  /// Mean source-to-sink latency (seconds).
-  double mean_latency() const { return latency_.mean(); }
-
-  /// Observation count behind mean_service_time().
-  std::size_t service_count() const {
-    return static_cast<std::size_t>(service_.count());
-  }
-
   /// Callers quiesce recording threads first (reconfiguration barriers do).
   void reset() {
     arrivals_.reset();
     departures_.reset();
     service_.reset();
-    latency_.reset();
   }
 
  private:
   obs::AtomicRateWindow arrivals_;
   obs::AtomicRateWindow departures_;
   obs::AtomicMean service_;
-  obs::AtomicMean latency_;
 };
 
 }  // namespace bsk::rt

@@ -23,6 +23,7 @@
 
 #include "bs/remote_bs.hpp"
 #include "net/chaos.hpp"
+#include "net/shm.hpp"
 #include "net/worker_pool.hpp"
 #include "support/clock.hpp"
 
@@ -124,7 +125,7 @@ TEST(FaultInjector, ForcedDropLosesEveryFrameSilently) {
   ChaosSpec spec;
   spec.drop = 1.0;
   auto plan = std::make_shared<FaultPlan>(1, spec);
-  auto pair = InprocTransport::make_pair();
+  auto pair = ShmTransport::make_pair();
   FaultInjector inj(pair.a, plan, "t");
 
   for (int i = 0; i < 5; ++i)
@@ -139,7 +140,7 @@ TEST(FaultInjector, ForcedDupDeliversEveryFrameTwice) {
   ChaosSpec spec;
   spec.dup = 1.0;
   auto plan = std::make_shared<FaultPlan>(1, spec);
-  auto pair = InprocTransport::make_pair();
+  auto pair = ShmTransport::make_pair();
   FaultInjector inj(pair.a, plan, "t");
 
   for (int i = 0; i < 3; ++i)
@@ -158,7 +159,7 @@ TEST(FaultInjector, ForcedReorderSwapsAdjacentFrames) {
   ChaosSpec spec;
   spec.reorder = 1.0;
   auto plan = std::make_shared<FaultPlan>(1, spec);
-  auto pair = InprocTransport::make_pair();
+  auto pair = ShmTransport::make_pair();
   FaultInjector inj(pair.a, plan, "t");
 
   for (int i = 0; i < 4; ++i)
@@ -179,7 +180,7 @@ TEST(FaultInjector, ForcedCorruptionDamagesBytesDeterministically) {
   spec.corrupt = 1.0;
   auto run = [&spec] {
     auto plan = std::make_shared<FaultPlan>(9, spec);
-    auto pair = InprocTransport::make_pair();
+    auto pair = ShmTransport::make_pair();
     FaultInjector inj(pair.a, plan, "t");
     std::vector<std::vector<std::uint8_t>> received;
     for (int i = 0; i < 4; ++i) {
@@ -201,7 +202,7 @@ TEST(FaultInjector, OutboundPartitionSwallowsThenHeals) {
   ChaosSpec spec;
   spec.partitions.push_back({0.0, 0.3, /*inbound=*/false, /*outbound=*/true});
   auto plan = std::make_shared<FaultPlan>(1, spec);
-  auto pair = InprocTransport::make_pair();
+  auto pair = ShmTransport::make_pair();
   FaultInjector inj(pair.a, plan, "t");  // construction anchors t=0
 
   ASSERT_TRUE(inj.send(tagged(1)));  // the network eats it
@@ -220,7 +221,7 @@ TEST(FaultInjector, InboundPartitionStallsDeliveryAndReportsSilence) {
   ChaosSpec spec;
   spec.partitions.push_back({0.0, 0.3, /*inbound=*/true, /*outbound=*/false});
   auto plan = std::make_shared<FaultPlan>(1, spec);
-  auto pair = InprocTransport::make_pair();
+  auto pair = ShmTransport::make_pair();
   FaultInjector inj(pair.b, plan, "t");  // wrap the receiving end
 
   ASSERT_TRUE(pair.a->send(tagged(7)));  // queued behind the hole
@@ -242,7 +243,7 @@ TEST(FaultInjector, ScriptedKillReadsAsPeerCrash) {
   ChaosSpec spec;
   spec.kill_at_s = 0.0;
   auto plan = std::make_shared<FaultPlan>(1, spec);
-  auto pair = InprocTransport::make_pair();
+  auto pair = ShmTransport::make_pair();
   FaultInjector inj(pair.a, plan, "t");
 
   EXPECT_FALSE(inj.send(tagged(1)));

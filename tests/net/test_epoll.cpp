@@ -18,7 +18,9 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <algorithm>
 #include <chrono>
+#include <fstream>
 #include <memory>
 #include <string>
 #include <thread>
@@ -43,6 +45,22 @@ std::size_t thread_count(int pid) {
     if (e->d_name[0] != '.') ++n;
   ::closedir(d);
   return n;
+}
+
+// Names of this process's live threads, from /proc/self/task/*/comm.
+std::vector<std::string> thread_names() {
+  std::vector<std::string> names;
+  DIR* d = ::opendir("/proc/self/task");
+  if (!d) return names;
+  while (const dirent* e = ::readdir(d)) {
+    if (e->d_name[0] == '.') continue;
+    std::ifstream comm(std::string("/proc/self/task/") + e->d_name + "/comm");
+    std::string name;
+    std::getline(comm, name);
+    names.push_back(name);
+  }
+  ::closedir(d);
+  return names;
 }
 
 // Minimal echo service: ack every Hello, echo every frame back.
@@ -548,6 +566,129 @@ TEST(EpollServer, FdExhaustionBacksOffAndRecovers) {
   }
   for (auto& tp : clients) tp->close();
   server.stop();
+}
+
+// ------------------------------------------------------------ tcp reactor
+//
+// Every TcpTransport of a process runs on one shared epoll loop. These pin
+// down what sharing must not cost: threads that grow with connections, one
+// stalled consumer holding up its neighbours, and a transport destroyed
+// under the loop's feet.
+
+struct TcpPair {
+  std::unique_ptr<TcpTransport> client;
+  std::unique_ptr<TcpTransport> server;
+};
+
+TcpPair tcp_pair(TcpListener& l, TcpOptions server_opts = {}) {
+  TcpPair p;
+  p.client = TcpTransport::connect("127.0.0.1", l.port());
+  p.server = l.accept_for(5.0, server_opts);
+  return p;
+}
+
+TEST(TcpReactor, ThreadCountDoesNotGrowWithConnections) {
+  TcpListener l(0);
+  ASSERT_TRUE(l.valid());
+  std::vector<TcpPair> pairs;
+  pairs.push_back(tcp_pair(l));
+  ASSERT_NE(pairs[0].server, nullptr);
+  const std::size_t threads_one = thread_count(::getpid());
+
+  while (pairs.size() < 64) {
+    pairs.push_back(tcp_pair(l));
+    ASSERT_NE(pairs.back().client, nullptr);
+    ASSERT_NE(pairs.back().server, nullptr);
+  }
+  // All 128 endpoints live: traffic through each before counting.
+  for (auto& p : pairs) ASSERT_TRUE(p.client->send(Frame{FrameType::TaskMsg, {1}}));
+  for (auto& p : pairs) {
+    Frame f;
+    ASSERT_EQ(p.server->recv_for(f, 5.0), RecvStatus::Ok);
+  }
+  EXPECT_EQ(thread_count(::getpid()), threads_one);
+  const auto names = thread_names();
+  EXPECT_EQ(std::count(names.begin(), names.end(), "tcp-io"), 0);
+  EXPECT_EQ(std::count(names.begin(), names.end(), "tcp-loop"), 1);
+}
+
+TEST(TcpReactor, FullInboundQueueDoesNotDelayOtherConnections) {
+  TcpListener l(0);
+  ASSERT_TRUE(l.valid());
+  TcpOptions tiny;
+  tiny.inbound_capacity = 4;
+  TcpPair stuck = tcp_pair(l, tiny);  // its consumer never calls recv
+  TcpPair live = tcp_pair(l);
+  ASSERT_NE(stuck.server, nullptr);
+  ASSERT_NE(live.server, nullptr);
+
+  // Far more than the queue and the socket buffers hold: the loop must park
+  // this connection rather than block on it.
+  constexpr int kFlood = 2000;
+  std::vector<Frame> flood(kFlood);
+  for (int i = 0; i < kFlood; ++i) {
+    flood[static_cast<std::size_t>(i)].type = FrameType::TaskMsg;
+    flood[static_cast<std::size_t>(i)].payload.assign(
+        1024, static_cast<std::uint8_t>(i));
+  }
+  ASSERT_TRUE(stuck.client->send_many(flood.data(), flood.size()));
+  const double fill_deadline = wall_now() + 5.0;
+  while (stuck.server->stats().frames_received < 4 &&
+         wall_now() < fill_deadline)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  const std::uint64_t parked_at = stuck.server->stats().frames_received;
+  ASSERT_GE(parked_at, 4u);
+  ASSERT_LT(parked_at, static_cast<std::uint64_t>(kFlood));
+
+  double worst = 0.0;
+  for (int i = 0; i < 200; ++i) {
+    const double t0 = wall_now();
+    ASSERT_TRUE(live.client->send(Frame{FrameType::TaskMsg, {7}}));
+    Frame f;
+    ASSERT_EQ(live.server->recv_for(f, 5.0), RecvStatus::Ok) << "ping " << i;
+    worst = std::max(worst, wall_now() - t0);
+  }
+  EXPECT_LT(worst, 0.5);
+  EXPECT_EQ(stuck.server->stats().frames_received, parked_at);  // parked
+
+  // Draining the stuck queue resumes its reads, in order, losing nothing.
+  for (int i = 0; i < kFlood; ++i) {
+    Frame f;
+    ASSERT_EQ(stuck.server->recv_for(f, 5.0), RecvStatus::Ok) << "frame " << i;
+    ASSERT_EQ(f.payload.size(), 1024u);
+    EXPECT_EQ(f.payload[0], static_cast<std::uint8_t>(i));
+  }
+}
+
+TEST(TcpReactor, TransportDestroyedWhileLoopDeliversIsSafe) {
+  TcpListener l(0);
+  ASSERT_TRUE(l.valid());
+  TcpPair bystander = tcp_pair(l);
+  ASSERT_NE(bystander.server, nullptr);
+  for (int round = 0; round < 20; ++round) {
+    TcpOptions small;
+    small.inbound_capacity = 1 + static_cast<std::size_t>(round % 4) * 8;
+    TcpPair p = tcp_pair(l, small);
+    ASSERT_NE(p.server, nullptr);
+    std::atomic<bool> go{true};
+    std::thread sender([&] {
+      const Frame f{FrameType::TaskMsg, std::vector<std::uint8_t>(512, 3)};
+      while (go.load() && p.client->send(f)) {
+      }
+    });
+    Frame f;
+    for (int i = 0; i < round; ++i) p.server->recv_for(f, 1.0);
+    p.server.reset();  // mid-stream, possibly while parked on a full queue
+    std::this_thread::sleep_for(std::chrono::microseconds(200 * (round % 5)));
+    go.store(false);
+    sender.join();
+  }
+  // The loop survived every teardown and still serves its other links.
+  ASSERT_TRUE(bystander.client->send(Frame{FrameType::TaskMsg, {9}}));
+  Frame f;
+  ASSERT_EQ(bystander.server->recv_for(f, 5.0), RecvStatus::Ok);
+  EXPECT_EQ(f.payload[0], 9);
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
 // ABC over the wire: a manager-side RemoteAbc driving an AbcServer-wrapped
-// target in (what stands for) another process, over InprocTransport.
+// target in (what stands for) another process, over an in-process
+// ShmTransport pair.
 //
 // Covers the RPC surface (sense + every actuator), blackout semantics on a
 // dead channel, and the two-phase secure-before-commit protocol: the
@@ -12,6 +13,7 @@
 
 #include "am/manager.hpp"
 #include "net/remote_abc.hpp"
+#include "net/shm.hpp"
 
 namespace bsk::net {
 namespace {
@@ -65,7 +67,7 @@ struct Rig {
   Rig() : server(target, pair.b), client(pair.a) { server.start(); }
   ~Rig() { server.stop(); }
 
-  InprocTransport::Pair pair = InprocTransport::make_pair();
+  ShmTransport::Pair pair = ShmTransport::make_pair();
   FakeAbc target;
   AbcServer server;
   RemoteAbc client;
@@ -136,7 +138,7 @@ TEST(RemoteAbc, RpcTimeoutExpiryReadsAsBlackout) {
   // Live channel, mute peer: each RPC waits out rpc_timeout_wall_s and then
   // degrades to the blackout/failure result instead of hanging the
   // manager's control loop forever.
-  auto pair = InprocTransport::make_pair();
+  auto pair = ShmTransport::make_pair();
   RemoteAbcOptions opts;
   opts.rpc_timeout_wall_s = 0.1;
   RemoteAbc client(pair.a, opts);
@@ -159,7 +161,7 @@ TEST(RemoteAbc, RpcTimeoutExpiryReadsAsBlackout) {
 TEST(RemoteAbc, StaleRepliesAreSkippedUntilTheMatchingSeq) {
   // A reply left over from a timed-out earlier RPC must not satisfy the
   // current one: the client filters by sequence number.
-  auto pair = InprocTransport::make_pair();
+  auto pair = ShmTransport::make_pair();
   RemoteAbc client(pair.a);
   ActReply stale;
   stale.seq = 9999;  // matches nothing

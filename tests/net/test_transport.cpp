@@ -1,10 +1,10 @@
 // Transport conformance: one behavioural contract, two backends.
 //
-// Every test in TransportConformance runs against both InprocTransport and
-// TcpTransport (loopback) through the same fixture — the wire protocol must
-// not care which one carries it. Backend-specific behaviour (connect retry
-// budgets, heartbeat-refreshed idleness, EOF detection) is tested
-// separately below.
+// Every test in TransportConformance runs against both ShmTransport (an
+// anonymous in-process pair) and TcpTransport (loopback) through the same
+// fixture — the wire protocol must not care which one carries it.
+// Backend-specific behaviour (connect retry budgets, heartbeat-refreshed
+// idleness, EOF detection) is tested separately below.
 
 #include <gtest/gtest.h>
 
@@ -21,6 +21,7 @@
 #include <thread>
 #include <vector>
 
+#include "net/shm.hpp"
 #include "net/transport.hpp"
 
 namespace bsk::net {
@@ -41,8 +42,8 @@ class TransportConformance : public ::testing::TestWithParam<std::string> {
   };
 
   Pair make() {
-    if (GetParam() == "inproc") {
-      auto p = InprocTransport::make_pair();
+    if (GetParam() == "shm") {
+      auto p = ShmTransport::make_pair();
       return {p.a, p.b};
     }
     auto listener = std::make_shared<TcpListener>(0);
@@ -177,7 +178,7 @@ TEST_P(TransportConformance, SecuredFlagFlips) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Backends, TransportConformance,
-                         ::testing::Values(std::string("inproc"),
+                         ::testing::Values(std::string("shm"),
                                            std::string("tcp")),
                          [](const auto& info) { return info.param; });
 
