@@ -85,7 +85,7 @@ struct ClusterOptions {
   /// UDP beacon discovery; nullopt disables.
   std::optional<std::uint16_t> beacon_port;
   double beacon_period_wall_s = 0.5;
-  /// Dial seam: tests swap in chaos-wrapped (FaultInjector) or inproc
+  /// Dial seam: tests swap in chaos-wrapped (FaultInjector) or in-process
   /// transports. Default: TcpTransport::connect with `tcp`.
   std::function<std::shared_ptr<net::Transport>(const net::Endpoint&)>
       connect_fn;

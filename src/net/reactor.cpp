@@ -213,7 +213,9 @@ bool Reactor::attach(const std::shared_ptr<Link>& l) {
     l->id = next_tag_++;
     links_.emplace(l->id, l);
   }
-  if (watch(l->raw_fd, kLinkEvents, l->id)) return true;
+  // Edge-triggered reads and writes.
+  if (watch(l->raw_fd, EPOLLIN | EPOLLOUT | EPOLLET | EPOLLRDHUP, l->id))
+    return true;
   detach(*l);
   return false;
 }

@@ -181,9 +181,6 @@ class Reactor {
 
  protected:
   static constexpr std::uint64_t kWakeTag = ~std::uint64_t{0};
-  /// Registration mask of a Link: edge-triggered reads and writes.
-  static constexpr std::uint32_t kLinkEvents =
-      EPOLLIN | EPOLLOUT | EPOLLET | EPOLLRDHUP;
 
   Reactor();
   /// The subclass destructor must call stop_loop() first: the loop calls

@@ -698,7 +698,7 @@ RecvStatus ShmTransport::recv_for(Frame& out, double wall_seconds) {
 double ShmTransport::idle_seconds() const {
   // Peer progress is visible in the ring head even when no recv() runs, so
   // unconsumed traffic still counts as liveness; with a TCP anchor (whose
-  // I/O thread absorbs heartbeats continuously) defer to the fresher of
+  // reactor loop absorbs heartbeats continuously) defer to the fresher of
   // the two.
   const std::uint64_t head = rx_ctl().head.load(std::memory_order_acquire);
   if (head != last_rx_head_.load(std::memory_order_relaxed)) {

@@ -151,8 +151,8 @@ TEST(EpollServer, CountsBytesMovedInBothDirections) {
   }
   server.stop();  // joins the loop: its counter updates are all visible
 
-  // The client's I/O thread bumps its counters just after each syscall;
-  // give the last one a moment to land.
+  // The client's reactor loop bumps its read counters just after each
+  // syscall; give the last one a moment to land.
   TransportStats cs;
   std::uint64_t server_sent = 0, server_received = 0;
   for (int spin = 0; spin < 200; ++spin) {

@@ -222,7 +222,7 @@ TEST(TcpTransport, HeartbeatsRefreshIdleSeconds) {
   std::this_thread::sleep_for(std::chrono::milliseconds(100));
   const double idle_before = server->idle_seconds();
   ASSERT_TRUE(client->send(Frame{FrameType::Heartbeat, {}}));
-  // Wait for the io thread to register the beat.
+  // Wait for the reactor loop to register the beat.
   const double deadline = wall_now() + 2.0;
   while (server->stats().heartbeats_seen == 0 && wall_now() < deadline)
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
@@ -233,8 +233,8 @@ TEST(TcpTransport, HeartbeatsRefreshIdleSeconds) {
 }
 
 TEST(TcpTransport, WritingIntoPeerClosedSocketDoesNotRaiseSigpipe) {
-  // Regression: the io thread writes with MSG_NOSIGNAL, so a peer that
-  // vanished between our poll and our write produces EPIPE (a dead
+  // Regression: the flush writes with MSG_NOSIGNAL, so a peer that
+  // vanished before our write produces EPIPE (a dead
   // connection), not a process-killing SIGPIPE. Without the flag this test
   // aborts the whole binary.
   TcpListener l(0);
