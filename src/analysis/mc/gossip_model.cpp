@@ -86,7 +86,7 @@ void serialize_gossip_state(std::ostringstream& os, const GossipState& st) {
 }
 
 /// One complete, delivered exchange i -> j through the pure core — the
-/// closure building block. Mirrors ClusterNode::gossip_with + serve.
+/// closure building block. Mirrors ClusterNode::gossip_with + handle_frame.
 void closure_exchange(GossipState& dialer, GossipState& replier,
                       const GossipConfig& cfg) {
   const std::string pk =

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "cluster/node.hpp"
+#include "net/daemon.hpp"
 #include "net/transport.hpp"  // net::wall_now
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -30,31 +31,24 @@ cluster::ClusterOptions fast_opts(std::vector<net::Endpoint> seeds = {}) {
   return o;
 }
 
-/// One in-process fleet member (the test-suite idiom): the host binds an
-/// ephemeral port first, the node's wire identity is fixed up before the
-/// gossip threads start.
-struct Peer {
-  std::unique_ptr<cluster::ClusterNode> node;
-  std::unique_ptr<cluster::ClusterHost> host;
+/// One in-process fleet member: a daemon with clustering on, exactly as
+/// `bskd --join` runs it.
+std::unique_ptr<net::Daemon> fleet_member(std::uint32_t cores,
+                                          cluster::ClusterOptions opts) {
+  net::DaemonOptions o;
+  o.clustering = true;
+  o.cluster_opts = std::move(opts);
+  o.cores = cores;
+  return std::make_unique<net::Daemon>(std::move(o));
+}
 
-  Peer(std::uint32_t cores, cluster::ClusterOptions opts) {
-    net::Member self;
-    self.cores = cores;
-    node = std::make_unique<cluster::ClusterNode>(self, std::move(opts));
-    host = std::make_unique<cluster::ClusterHost>(*node);
-    node->rebind_self(host->port());
-  }
-
-  net::Endpoint ep() const { return {"127.0.0.1", host->port()}; }
-};
-
-bool wait_converged(const std::vector<std::unique_ptr<Peer>>& peers,
+bool wait_converged(const std::vector<std::unique_ptr<net::Daemon>>& peers,
                     std::size_t n, double deadline_s) {
   const double deadline = net::wall_now() + deadline_s;
   while (net::wall_now() < deadline) {
     bool ok = true;
     for (const auto& p : peers)
-      if (p->node->members() != n) {
+      if (p->cluster_node()->members() != n) {
         ok = false;
         break;
       }
@@ -109,12 +103,12 @@ LockScenarioResult run_lock_scenario(const LockScenarioOptions& opt) {
   support::lock_order::enable();
 
   {
-    std::vector<std::unique_ptr<Peer>> peers;
-    peers.push_back(std::make_unique<Peer>(4, fast_opts()));
-    const net::Endpoint seed = peers[0]->ep();
+    std::vector<std::unique_ptr<net::Daemon>> peers;
+    peers.push_back(fleet_member(4, fast_opts()));
+    const net::Endpoint seed{"127.0.0.1", peers[0]->port()};
     for (std::size_t i = 1; i < opt.fleet; ++i)
-      peers.push_back(std::make_unique<Peer>(2, fast_opts({seed})));
-    for (auto& p : peers) p->node->start();
+      peers.push_back(fleet_member(2, fast_opts({seed})));
+    for (auto& p : peers) p->start();
 
     out.converged =
         wait_converged(peers, opt.fleet, opt.converge_deadline_s);
@@ -124,13 +118,9 @@ LockScenarioResult run_lock_scenario(const LockScenarioOptions& opt) {
 
     // Graceful leave from the tail (exercises broadcast_leave + the
     // remaining nodes' merge paths), then stop the rest.
-    peers.back()->node->stop(/*broadcast_leave=*/true);
-    peers.back()->host->stop();
+    peers.back()->stop();
     peers.pop_back();
-    for (auto& p : peers) {
-      p->node->stop(/*broadcast_leave=*/false);
-      p->host->stop();
-    }
+    for (auto& p : peers) p->stop(/*orderly=*/false);
   }
 
   support::lock_order::disable();

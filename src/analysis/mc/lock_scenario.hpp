@@ -2,11 +2,12 @@
 // lock_scenario: the `bsk-verify --locks` driver.
 //
 // Runs a real workload under the support::lock_order recorder — a live
-// in-process cluster fleet (gossip threads, epoll loops, per-connection
-// serving, eviction and graceful leave), plus the channel / metrics / trace
-// hot paths — then snapshots the class-level lock-acquisition graph and
-// fails on any ordering cycle (see support/lock_order.hpp for why a cycle
-// is a potential deadlock even if this particular run never blocked).
+// in-process fleet of net::Daemons with clustering on, the daemon bskd runs
+// (gossip threads, epoll loops, executor pools, graceful leave), plus the
+// channel / metrics / trace hot paths — then snapshots the class-level
+// lock-acquisition graph and fails on any ordering cycle (see
+// support/lock_order.hpp for why a cycle is a potential deadlock even if
+// this particular run never blocked).
 //
 // `inversion_defect` seeds the classic bug on purpose: one thread takes
 // two verifier-owned mutexes a→b, another path takes them b→a. The run

@@ -115,14 +115,6 @@ ClusterNode::ClusterNode(net::Member self, ClusterOptions opts)
 
 ClusterNode::~ClusterNode() { stop(false); }
 
-void ClusterNode::rebind_self(std::uint16_t port) {
-  support::MutexLock lk(mu_);
-  self_.port = port;
-  self_key_ = self_.key();
-  gs_ = GossipState(self_);
-  suspects_.clear();
-}
-
 void ClusterNode::start() {
   if (running_.exchange(true)) return;
   gossip_ = std::jthread([this](std::stop_token st) {
@@ -477,24 +469,6 @@ bool ClusterNode::handle_frame(const net::Frame& f,
   }
 }
 
-void ClusterNode::serve(net::Transport& tp) {
-  while (true) {
-    net::Frame f;
-    switch (tp.recv_for(f, 2.0)) {
-      case net::RecvStatus::Closed:
-        return;
-      case net::RecvStatus::TimedOut:
-        return;  // gossip exchanges are short; idle means done
-      case net::RecvStatus::Ok:
-        break;
-    }
-    std::optional<net::Frame> reply;
-    const bool keep = handle_frame(f, reply);
-    if (reply) tp.send(*reply);
-    if (!keep) return;
-  }
-}
-
 void ClusterNode::broadcast_leave() {
   net::LeaveMsg msg;
   msg.self = self_;
@@ -599,40 +573,5 @@ void ClusterNode::beacon_loop(const std::stop_token& st) {
   }
   ::close(fd);
 }
-
-// ----------------------------------------------------------- ClusterHost
-
-ClusterHost::ClusterHost(ClusterNode& node, std::uint16_t port) : node_(node) {
-  net::EpollOptions opts;
-  opts.port = port;
-  server_ = std::make_unique<net::EpollServer>(
-      static_cast<net::EpollServer::Handler&>(*this), opts);
-  server_->start();
-}
-
-ClusterHost::~ClusterHost() { stop(); }
-
-void ClusterHost::stop() {
-  if (server_) server_->stop();
-}
-
-void ClusterHost::on_hello(net::EpollServer::ConnId c, const net::Hello& h) {
-  net::HelloAck ack;
-  ack.ok = h.magic == net::kMagic && h.version == net::kProtocolVersion &&
-           h.role == 3;
-  server_->send(c, net::make_hello_ack(ack));
-  if (!ack.ok) server_->close_conn(c);
-}
-
-void ClusterHost::on_frame(net::EpollServer::ConnId c, net::Frame&& f) {
-  // Gossip frames are cheap (one table merge under the node's mutex), so
-  // they are handled inline on the loop thread.
-  std::optional<net::Frame> reply;
-  const bool keep = node_.handle_frame(f, reply);
-  if (reply) server_->send(c, *reply);
-  if (!keep) server_->close_conn(c);
-}
-
-void ClusterHost::on_closed(net::EpollServer::ConnId) {}
 
 }  // namespace bsk::cluster

@@ -24,7 +24,8 @@
 // multicast lose nothing but zero-config discovery.
 //
 // Thread model: one gossip thread, one optional beacon thread, plus
-// serve() calls arriving on the daemon's per-connection threads. One mutex
+// handle_frame() calls arriving on the daemon's executor threads (the
+// net::Daemon that owns the node serves its role-3 connections). One mutex
 // guards the table; everything heavy (dials, handshakes) happens outside
 // it.
 
@@ -44,7 +45,6 @@
 #include "cluster/gossip_defaults.hpp"
 #include "cluster/hierarchy.hpp"
 #include "cluster/membership.hpp"
-#include "net/epoll_server.hpp"
 #include "net/transport.hpp"
 #include "net/wire.hpp"
 #include "net/worker_pool.hpp"  // net::Endpoint
@@ -100,12 +100,6 @@ class ClusterNode {
   ClusterNode(const ClusterNode&) = delete;
   ClusterNode& operator=(const ClusterNode&) = delete;
 
-  /// Fix up the advertised port before start() — for embedders that only
-  /// learn their listening port after constructing the node (an ephemeral
-  /// ClusterHost bind). Must not be called once start() has run: the key
-  /// is this node's wire identity.
-  void rebind_self(std::uint16_t port);
-
   /// Start the gossip (and beacon, if configured) threads.
   void start();
 
@@ -113,20 +107,12 @@ class ClusterNode {
   /// we are going (immediate deregistration instead of suspicion).
   void stop(bool broadcast_leave = true);
 
-  /// Serve one inbound role-3 connection (the daemon calls this after the
-  /// Hello/HelloAck exchange). Handles ClusterHello gossip exchanges and
-  /// Leave notifications until the peer closes.
-  void serve(net::Transport& tp);
-
-  /// Transport-free core of serve(): process one role-3 frame, filling
-  /// `reply` when the frame warrants an answer (the ClusterWelcome of a
-  /// gossip exchange). Returns false once the exchange is over (Shutdown).
-  /// Cheap and non-blocking — safe to call from an event-loop thread.
+  /// Process one frame of an inbound role-3 connection (the daemon calls
+  /// this after the Hello/HelloAck exchange): a ClusterHello gossip
+  /// exchange or a Leave notification. Fills `reply` when the frame
+  /// warrants an answer (the ClusterWelcome of a gossip exchange). Returns
+  /// false once the exchange is over (Shutdown). Cheap and non-blocking.
   bool handle_frame(const net::Frame& f, std::optional<net::Frame>& reply);
-
-  /// Handle a Leave that arrived on a non-cluster channel (a worker
-  /// session's goodbye can carry one too).
-  void peer_left(const net::LeaveMsg& msg);
 
   // ------------------------------------------------------------- queries
 
@@ -161,6 +147,8 @@ class ClusterNode {
   void gossip_with(const net::Endpoint& ep, const std::string& member_key);
   std::shared_ptr<net::Transport> dial(const net::Endpoint& ep);
   void apply_delta(const MergeDelta& d);
+  /// A peer's Leave, from a role-3 channel: tombstone it at once.
+  void peer_left(const net::LeaveMsg& msg);
   void broadcast_leave();
   /// Record a beacon sighting / gossip sender introduction.
   void sighted(const net::Member& m);
@@ -195,7 +183,6 @@ class ClusterNode {
   std::uint64_t rng_seed_ = 0;
   double boot_phase_s_ = 0.0;
 
-  int beacon_fd_ = -1;
   std::jthread gossip_;
   std::jthread beacon_;
 };
@@ -203,28 +190,5 @@ class ClusterNode {
 /// Stamp a fresh incarnation (strictly increasing across restarts of the
 /// same endpoint, unique enough within one host).
 std::uint64_t fresh_incarnation();
-
-/// ClusterHost: a minimal role-3 listener for embedding a ClusterNode
-/// without the full daemon — in-process tests and tools. One EpollServer
-/// loop serves every gossip exchange (no thread per connection): the
-/// handshake is answered on the loop, every role but 3 is refused, and
-/// frames go straight to node.handle_frame().
-class ClusterHost final : private net::EpollServer::Handler {
- public:
-  explicit ClusterHost(ClusterNode& node, std::uint16_t port = 0);
-  ~ClusterHost();
-
-  bool valid() const { return server_ && server_->valid(); }
-  std::uint16_t port() const { return server_ ? server_->port() : 0; }
-  void stop();
-
- private:
-  void on_hello(net::EpollServer::ConnId c, const net::Hello& h) override;
-  void on_frame(net::EpollServer::ConnId c, net::Frame&& f) override;
-  void on_closed(net::EpollServer::ConnId c) override;
-
-  ClusterNode& node_;
-  std::unique_ptr<net::EpollServer> server_;
-};
 
 }  // namespace bsk::cluster

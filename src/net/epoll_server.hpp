@@ -1,6 +1,6 @@
 #pragma once
 // EpollServer: one edge-triggered epoll loop serving every inbound wire-v2
-// connection — the C10K core that bskd and ClusterHost stand on.
+// connection — the C10K core net::Daemon (and so bskd) stands on.
 //
 // A Reactor (net/reactor.hpp) owns the loop thread; the server adds the
 // listener and the connection table. Nonblocking accept4 drains the

@@ -7,7 +7,7 @@
 //               the loop thread), its SendQueue (under the link's mutex),
 //               and the single read/decode and flush implementation.
 //   Reactor   — one edge-triggered epoll loop thread over many Links. The
-//               EpollServer (bskd, ClusterHost) runs one per server; every
+//               EpollServer (net::Daemon) runs one per server; every
 //               TcpTransport of a process shares one (transport.cpp).
 //
 // Writers append under the link's mutex and flush on their own thread, so a

@@ -18,6 +18,7 @@
 #include <utility>
 #include <vector>
 
+#include "cluster/fleet_peer.hpp"
 #include "cluster/node.hpp"
 #include "net/transport.hpp"
 
@@ -34,39 +35,6 @@ ClusterOptions churn_opts(std::vector<net::Endpoint> seeds = {}) {
   o.tcp.connect_retries = 0;
   return o;
 }
-
-/// Same shape as the Peer in test_cluster_inproc.cpp: host bound first
-/// (ephemeral port), wire identity fixed up before gossip starts.
-struct Peer {
-  std::unique_ptr<ClusterNode> node;
-  std::unique_ptr<ClusterHost> host;
-
-  Peer(std::uint32_t cores, ClusterOptions opts) {
-    net::Member self;
-    self.cores = cores;
-    node = std::make_unique<ClusterNode>(self, std::move(opts));
-    host = std::make_unique<ClusterHost>(*node);
-    node->rebind_self(host->port());
-  }
-
-  void start() { node->start(); }
-  void crash() {
-    host->stop();
-    node->stop(/*broadcast_leave=*/false);
-  }
-  void leave() {
-    node->stop(/*broadcast_leave=*/true);
-    host->stop();
-  }
-  std::string key() const { return node->self_key(); }
-  /// This incarnation's `born` stamp, read from the node's own view.
-  std::uint64_t born() const {
-    for (const net::Member& m : node->view().members)
-      if (m.key() == key()) return m.born;
-    return 0;
-  }
-  net::Endpoint ep() const { return {"127.0.0.1", host->port()}; }
-};
 
 bool all_converged(const std::vector<Peer*>& peers, std::size_t n,
                    double deadline_wall_s) {

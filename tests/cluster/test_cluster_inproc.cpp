@@ -1,4 +1,4 @@
-// In-process fleets: ClusterNode + ClusterHost over loopback TCP.
+// In-process fleets: net::Daemons with clustering on, over loopback TCP.
 //
 // Covers the live self-assembly loop end to end — seed discovery, gossip
 // convergence, weighted root election, graceful leave vs. suspicion
@@ -20,6 +20,7 @@
 #include <thread>
 #include <vector>
 
+#include "cluster/fleet_peer.hpp"
 #include "cluster/node.hpp"
 #include "net/chaos.hpp"
 #include "support/event_log.hpp"
@@ -38,35 +39,6 @@ ClusterOptions fast_opts(std::vector<net::Endpoint> seeds = {}) {
   o.tcp.connect_retries = 0;
   return o;
 }
-
-/// One in-process fleet member: host bound first (ephemeral port), the
-/// node's wire identity fixed up before gossip starts.
-struct Peer {
-  std::unique_ptr<ClusterNode> node;
-  std::unique_ptr<ClusterHost> host;
-
-  Peer(std::uint32_t cores, ClusterOptions opts) {
-    net::Member self;
-    self.cores = cores;
-    node = std::make_unique<ClusterNode>(self, std::move(opts));
-    host = std::make_unique<ClusterHost>(*node);
-    node->rebind_self(host->port());
-  }
-
-  void start() { node->start(); }
-  /// A crash: threads die, listener closes, nobody is told.
-  void crash() {
-    host->stop();
-    node->stop(/*broadcast_leave=*/false);
-  }
-  /// An orderly shutdown: Leave broadcast first, then the listener closes.
-  void leave() {
-    node->stop(/*broadcast_leave=*/true);
-    host->stop();
-  }
-  std::string key() const { return node->self_key(); }
-  net::Endpoint ep() const { return {"127.0.0.1", host->port()}; }
-};
 
 bool all_converged(const std::vector<Peer*>& peers, std::size_t n,
                    double deadline_wall_s) {

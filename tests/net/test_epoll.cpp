@@ -1,4 +1,5 @@
-// EpollServer: the single-loop C10K core under bskd and ClusterHost.
+// EpollServer: the single-loop C10K core under net::Daemon, which bskd runs
+// and in-process cluster fleets embed.
 //
 // Covered here: the Hello-gated callback contract, echo traffic from
 // ordinary TcpTransport clients, loop-driven heartbeats, chaos-injected

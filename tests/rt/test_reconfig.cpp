@@ -15,10 +15,14 @@ namespace {
 
 using support::ScopedClockScale;
 
-NodeFactory slow_workers(double work_s) {
-  return [work_s] {
-    return std::make_unique<LambdaNode>([work_s](Task t) {
-      support::Clock::sleep_for(support::SimDuration(work_s));
+/// Workers that take `work_s` per task, or no time at all once `done` is
+/// set (a test that has its measurement drains the rest at once).
+NodeFactory slow_workers(double work_s,
+                         const std::atomic<bool>* done = nullptr) {
+  return [work_s, done] {
+    return std::make_unique<LambdaNode>([work_s, done](Task t) {
+      if (done == nullptr || !done->load())
+        support::Clock::sleep_for(support::SimDuration(work_s));
       return std::optional<Task>{std::move(t)};
     });
   };
@@ -61,7 +65,8 @@ TEST(FarmReconfig, AddWorkerIncreasesThroughput) {
   FarmConfig cfg;
   cfg.initial_workers = 1;
   cfg.rate_window = support::SimDuration(4.0);
-  Farm f("f", cfg, slow_workers(0.1));
+  std::atomic<bool> measured{false};
+  Farm f("f", cfg, slow_workers(0.1, &measured));
   f.start();
   // Saturating feed; the stream must stay open (closing it puts the farm
   // into shutdown, after which add_worker is refused by design).
@@ -83,6 +88,9 @@ TEST(FarmReconfig, AddWorkerIncreasesThroughput) {
   f.rebalance();
   support::Clock::sleep_for(support::SimDuration(6.0));
   const double rate4 = f.metrics().departure_rate();
+  // The rest of the 2,000 queued tasks would take ~50 simulated seconds at
+  // the measured rate; nothing reads them, so let the workers skip ahead.
+  measured.store(true);
   EXPECT_GT(rate4, rate1 * 2.0);  // 4 workers vs 1: at least doubles
   feeder.join();
   f.input()->close();
