@@ -67,7 +67,8 @@
 
 namespace bsk::net {
 
-/// bskd's command line: one field per flag.
+/// bskd's command line: one field per flag, except --port-file and
+/// --trace-file, which bskd's main handles itself.
 struct DaemonOptions {
   std::uint16_t port = 0;          ///< --port; 0 binds an ephemeral port
   double session_linger_s = 10.0;  ///< --session-linger
